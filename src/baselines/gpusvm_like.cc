@@ -15,14 +15,6 @@ namespace {
 constexpr double kTau = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-TaskCost VectorPassCost(int64_t n, double flops_per_item, double bytes_per_item) {
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  return cost;
-}
-
 }  // namespace
 
 Result<BinarySolution> GpuSvmLikeTrainer::Train(const Dataset& dataset,
@@ -179,34 +171,8 @@ Result<BinarySolution> GpuSvmLikeTrainer::Train(const Dataset& dataset,
     stats->outer_rounds += iterations;
   }
 
-  // Bias and objective as in the main solvers.
-  double sum_free = 0.0;
-  int64_t num_free = 0;
-  double f_up_min = kInf, f_low_max = -kInf;
-  for (int64_t i = 0; i < n; ++i) {
-    const double a = alpha[static_cast<size_t>(i)];
-    const double fi = f[static_cast<size_t>(i)];
-    if (a > 0 && a < c) {
-      sum_free += fi;
-      ++num_free;
-    }
-    if (InUpSet(y[i], a, c)) f_up_min = std::min(f_up_min, fi);
-    if (InLowSet(y[i], a, c)) f_low_max = std::max(f_low_max, fi);
-  }
-  const double rho = num_free > 0 ? sum_free / static_cast<double>(num_free)
-                                  : (f_up_min + f_low_max) / 2.0;
-  double objective = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    objective += alpha[static_cast<size_t>(i)] *
-                 (y[i] * f[static_cast<size_t>(i)] - 1.0);
-  }
-
-  BinarySolution solution;
-  solution.alpha = std::move(alpha);
-  solution.bias = -rho;
-  solution.objective = -0.5 * objective;
-  solution.f = std::move(f);
-  return solution;
+  return FinishBinarySolution(std::move(alpha), std::move(f), y,
+                              std::vector<double>(static_cast<size_t>(n), c));
 }
 
 }  // namespace gmpsvm

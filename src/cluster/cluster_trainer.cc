@@ -2,82 +2,40 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <thread>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "core/sigmoid_cv.h"
-#include "fault/retry.h"
-#include "prob/platt.h"
 
 namespace gmpsvm::cluster {
 namespace {
 
-// SplitMix64 finalizer: the standard seed-spreading step (same construction
-// Rng::Fork uses internally). Used directly here because per-pair fault
-// injectors need a derived SEED, not a forked Rng object.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+// One loss draw for member `index` (a device or node) of `plan`, from a
+// stream that depends only on the plan seed, the stream's `salt` and `index` —
+// independent of the pair streams and of each other.
+bool DrawLoss(const fault::FaultPlan& plan, obs::MetricsRegistry* metrics,
+              fault::Site site, uint64_t salt, int index) {
+  fault::FaultPlan draw_plan = plan;
+  draw_plan.seed =
+      SplitMix64(plan.seed ^ SplitMix64(salt + static_cast<uint64_t>(index)));
+  return fault::FaultInjector(draw_plan, metrics).ShouldInject(site);
 }
 
-// Seed for pair p's injector: a function of the plan seed and the pair index
-// only, never of the device assignment — this is what makes chaos runs
-// device-count invariant.
-uint64_t PairFaultSeed(uint64_t plan_seed, size_t pair_index) {
-  return SplitMix64(plan_seed ^ SplitMix64(0x70A1Bull + pair_index));
-}
-
-// Seed for device d's loss draw (independent of the pair streams).
-uint64_t DeviceFaultSeed(uint64_t plan_seed, int device) {
-  return SplitMix64(plan_seed ^ SplitMix64(0xD00Dull + static_cast<uint64_t>(device)));
-}
-
-// Seed for node m's loss draw (independent of the pair and device streams).
-uint64_t NodeFaultSeed(uint64_t plan_seed, int node) {
-  return SplitMix64(plan_seed ^ SplitMix64(0x40DEull + static_cast<uint64_t>(node)));
-}
-
-// Device-origin phase span helper (same shape mp_trainer.cc uses for its
-// pair phases; kept local because both copies are file-scope details).
-void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
-                     double start, double end) {
-  obs::SpanRecorder* recorder = executor->span_recorder();
-  if (recorder == nullptr || end <= start) return;
-  obs::SpanEvent span;
-  span.name = std::move(name);
-  span.origin = obs::SpanEvent::Origin::kDevice;
-  span.lane = executor->lane_base() + stream;
-  span.start_seconds = start;
-  span.end_seconds = end;
-  span.is_phase = true;
-  recorder->RecordSpan(span);
-}
-
-// Phase A: train one sharded pair across its shard group with the
-// distributed solver, then fit the sigmoid on the coordinator. Mirrors the
-// whole-pair path (SolveGmpPairImpl + RunPairWithRetry in mp_trainer.cc)
-// step for step so the outcome — checkpoint, stats, retry/degrade behaviour
-// — is byte-identical to training the pair whole on one device.
+// Phase A: train one sharded pair across its shard group. Only the shard
+// setup and the per-shard data loads are specific to sharding; the pair then
+// runs through the same per-pair body (TrainGmpPair) as a whole pair, so the
+// outcome — checkpoint, stats, retry/degrade behaviour — is byte-identical to
+// training the pair whole on one device.
 Result<PairTrainOutcome> TrainShardedPair(
     const Dataset& dataset, const MpTrainOptions& options,
     const dist::ClusterTopology& topology, SimCluster* cluster,
     const ShardedPair& sharded,
     const PairFaultInjectorFactory& injector_factory,
     dist::DistStats* dist_stats) {
-  const auto pairs = dataset.ClassPairs();
-  const int s = pairs[sharded.pair].first;
-  const int t = pairs[sharded.pair].second;
-
-  BinaryProblem problem = dataset.MakePairProblem(s, t, options.c, options.kernel);
-  if (!options.class_weights.empty()) {
-    problem.weight_pos = options.class_weights[static_cast<size_t>(s)];
-    problem.weight_neg = options.class_weights[static_cast<size_t>(t)];
-  }
+  const auto [s, t] = dataset.ClassPairs()[sharded.pair];
+  const BinaryProblem problem = MakeTrainPairProblem(dataset, options, s, t);
   const int64_t n = problem.n();
 
   // Never more shards than rows; the scheduler already caps this, but loss
@@ -97,8 +55,6 @@ Result<PairTrainOutcome> TrainShardedPair(
     shards[j].end = ranges[j].second;
     shards[j].executor->SynchronizeAll();
   }
-  SimExecutor* const coord = shards[0].executor;
-  const StreamId coord_stream = shards[0].stream;
 
   // Each shard pays host->device transfer for its instance slice: the
   // slice's share of the full feature matrix (pair rows are dataset rows).
@@ -117,119 +73,10 @@ Result<PairTrainOutcome> TrainShardedPair(
   }
 
   KernelComputer computer(&dataset.features(), options.kernel);
-  const dist::DistSmoSolver dist_solver(options.batch, &topology);
-
-  // The pair's injector lives on the coordinator only — exactly the
-  // single-device consult sequence (dist_solver.h).
-  fault::FaultInjector* const base_injector = coord->fault_injector();
-  std::unique_ptr<fault::FaultInjector> pair_injector;
-  if (injector_factory != nullptr) {
-    pair_injector = injector_factory(sharded.pair);
-    coord->SetFaultInjector(pair_injector.get());
-  }
-
-  PairTrainOutcome outcome;
-  outcome.pair_index = sharded.pair;
-
-  const auto attempt = [&]() -> Result<PairCheckpoint> {
-    SolverStats stats;
-    dist::DistStats attempt_dist;
-    const double smo_t0 = coord->StreamTime(coord_stream);
-    Result<BinarySolution> solved =
-        dist_solver.Solve(problem, computer, shards, &stats, &attempt_dist);
-    // Work done by failed attempts still counts toward the pair.
-    outcome.stats.Merge(stats);
-    dist_stats->Merge(attempt_dist);
-    if (!solved.ok()) return solved.status();
-    const BinarySolution& solution = *solved;
-    RecordPhaseSpan(coord, coord_stream, StrPrintf("smo %dv%d", s, t), smo_t0,
-                    coord->StreamTime(coord_stream));
-
-    std::vector<double> v;
-    if (options.sigmoid_cv_folds >= 2) {
-      // CV folds re-solve sub-problems; those run whole on the coordinator
-      // through a plain solver — the same calls the whole-pair path makes.
-      BatchSmoSolver plain(options.batch);
-      GMP_ASSIGN_OR_RETURN(
-          v, CrossValidatedDecisionValues(
-                 problem, computer,
-                 [&](const BinaryProblem& sub, SimExecutor* e, StreamId str) {
-                   return plain.Solve(sub, computer, e, str, nullptr);
-                 },
-                 options.sigmoid_cv_folds, /*seed=*/1u, coord, coord_stream));
-    } else {
-      // v_i = f_i + y_i + b (Equation 3 vs Equation 11).
-      v.resize(solution.f.size());
-      for (size_t i = 0; i < v.size(); ++i) {
-        v[i] = solution.f[i] + static_cast<double>(problem.y[i]) +
-               solution.bias;
-      }
-    }
-    const double sigmoid_t0 = coord->StreamTime(coord_stream);
-    GMP_ASSIGN_OR_RETURN(
-        SigmoidParams sigmoid,
-        FitSigmoid(v, problem.y, options.platt, coord, coord_stream,
-                   options.platt_parallel_candidates));
-    RecordPhaseSpan(coord, coord_stream, StrPrintf("sigmoid %dv%d", s, t),
-                    sigmoid_t0, coord->StreamTime(coord_stream));
-    outcome.sigmoid_seconds +=
-        coord->StreamTime(coord_stream) - sigmoid_t0;
-    outcome.sigmoid_done = true;
-
-    PairCheckpoint pair;
-    pair.class_s = s;
-    pair.class_t = t;
-    pair.bias = solution.bias;
-    pair.sigmoid = sigmoid;
-    for (int64_t i = 0; i < problem.n(); ++i) {
-      const double a = solution.alpha[static_cast<size_t>(i)];
-      if (a <= 0.0) continue;
-      pair.sv_rows.push_back(problem.rows[static_cast<size_t>(i)]);
-      pair.sv_coef.push_back(
-          a * static_cast<double>(problem.y[static_cast<size_t>(i)]));
-    }
-    return pair;
-  };
-
-  // Same retry/degrade policy as RunPairWithRetry, backoff charged to the
-  // coordinator with the same (s, t) seed.
-  const fault::RetryPolicy& policy = options.pair_retry;
-  Status failure = Status::OK();
-  for (int att = 1;; ++att) {
-    Result<PairCheckpoint> result = attempt();
-    if (result.ok()) {
-      outcome.checkpoint = std::move(result).value();
-      break;
-    }
-    if (!fault::IsTransientFault(result.status())) {
-      failure = result.status();
-      break;
-    }
-    if (att >= policy.max_attempts) {
-      if (options.pair_failure_policy == PairFailurePolicy::kFailFast) {
-        failure = Status::Unavailable(StrPrintf(
-            "pair %dv%d failed after %d attempts: %s", s, t, att,
-            result.status().message().c_str()));
-        break;
-      }
-      GMP_LOG(Warning) << "pair " << s << "v" << t << " degraded after "
-                       << att << " attempts: " << result.status().message();
-      outcome.checkpoint.class_s = s;
-      outcome.checkpoint.class_t = t;
-      outcome.checkpoint.degraded = true;
-      break;
-    }
-    ++outcome.retries;
-    const uint64_t seed =
-        (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(t);
-    coord->AdvanceStream(coord_stream, fault::BackoffSeconds(policy, att, seed),
-                         "retry_backoff");
-  }
-
-  if (injector_factory != nullptr) coord->SetFaultInjector(base_injector);
+  Result<PairTrainOutcome> outcome = TrainGmpPair(
+      options, computer, sharded.pair, s, t, problem,
+      PairPlacement::Sharded(shards, &topology, dist_stats), injector_factory);
   for (const dist::Shard& shard : shards) shard.executor->SynchronizeAll();
-  if (!failure.ok()) return failure;
-  outcome.degraded = outcome.checkpoint.degraded;
   return outcome;
 }
 
@@ -373,10 +220,8 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
   int nodes_lost = 0;
   if (options_.fault.has_value() && options_.fault->node_loss_prob > 0.0) {
     for (int m = 1; m < topology.num_nodes; ++m) {
-      fault::FaultPlan node_plan = *options_.fault;
-      node_plan.seed = NodeFaultSeed(options_.fault->seed, m);
-      fault::FaultInjector node_injector(node_plan, options_.fault_metrics);
-      if (node_injector.ShouldInject(fault::Site::kNodeLoss)) {
+      if (DrawLoss(*options_.fault, options_.fault_metrics,
+                   fault::Site::kNodeLoss, 0x40DEull, m)) {
         node_lost[static_cast<size_t>(m)] = true;
         ++nodes_lost;
       }
@@ -389,13 +234,9 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
   std::vector<bool> lost(static_cast<size_t>(n_devices), false);
   if (options_.fault.has_value() && options_.fault->device_loss_prob > 0.0) {
     for (int d = 1; d < n_devices; ++d) {
-      fault::FaultPlan device_plan = *options_.fault;
-      device_plan.seed = DeviceFaultSeed(options_.fault->seed, d);
-      fault::FaultInjector device_injector(device_plan,
-                                           options_.fault_metrics);
-      if (device_injector.ShouldInject(fault::Site::kDeviceLoss)) {
-        lost[static_cast<size_t>(d)] = true;
-      }
+      lost[static_cast<size_t>(d)] =
+          DrawLoss(*options_.fault, options_.fault_metrics,
+                   fault::Site::kDeviceLoss, 0xD00Dull, d);
     }
   }
   int devices_lost = 0;
@@ -489,22 +330,10 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
     }
   }
 
-  // Per-pair injector factory: injectors depend on the pair index only, so
-  // the fault sequence a pair experiences is the same on any device.
-  PairFaultInjectorFactory injector_factory;
-  if (options_.fault.has_value()) {
-    const fault::FaultPlan base_plan = *options_.fault;
-    obs::MetricsRegistry* fault_metrics = options_.fault_metrics;
-    injector_factory =
-        [base_plan, fault_metrics](size_t pair_index)
-        -> std::unique_ptr<fault::FaultInjector> {
-      fault::FaultPlan plan = base_plan;
-      plan.seed = PairFaultSeed(base_plan.seed, pair_index);
-      // Pair injectors never consult kDeviceLoss (the trainer draws losses
-      // separately above), so the probability staying set is harmless.
-      return std::make_unique<fault::FaultInjector>(plan, fault_metrics);
-    };
-  }
+  // Per-pair injectors depend on the pair index only, so the fault sequence a
+  // pair experiences is the same on any device.
+  const PairFaultInjectorFactory injector_factory =
+      MakePairFaultInjectorFactory(options_.fault, options_.fault_metrics);
 
   // Baselines so elapsed sim time / counter deltas are attributable to this
   // run even on reused executors.

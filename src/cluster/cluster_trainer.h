@@ -3,8 +3,9 @@
 //
 // The trainer schedules pairs with the cost-model-aware pair scheduler.
 // Pairs the scheduler marked for intra-pair sharding train first (Phase A):
-// each runs once through dist::DistSmoSolver across its shard group, merges
-// priced by the cluster's node topology. The remaining whole pairs then
+// each runs once through BatchSmoSolver::SolveSharded across its shard group,
+// merges priced by the cluster's node topology, inside the same per-pair body
+// (TrainGmpPair) whole pairs use. The remaining whole pairs then
 // train through TrainGmpPairSubset (one std::thread per device — devices are
 // independent simulators, so this is pure wall-clock parallelism; Phase B).
 // Results are stitched back together in global ClassPairs() order with
@@ -19,7 +20,8 @@
 //     mp_trainer.h), so the assignment never changes the numbers;
 //   * a sharded pair's solve is byte-identical to the single-device solve —
 //     solution AND counters — for any shard count or placement
-//     (dist/dist_solver.h), so sharding never changes the numbers either;
+//     (BatchSmoSolver::SolveSharded), so sharding never changes the numbers
+//     either;
 //   * chaos runs use one fault injector PER PAIR, seeded from the plan seed
 //     and the pair index, so a pair sees the same fault sequence whatever
 //     device (or shard group, via the coordinator) trains it. (Per-pair
@@ -61,7 +63,7 @@
 #include "cluster/cluster.h"
 #include "cluster/pair_scheduler.h"
 #include "core/mp_trainer.h"
-#include "dist/dist_solver.h"
+#include "dist/shard.h"
 #include "fault/fault_injector.h"
 
 namespace gmpsvm::cluster {
@@ -71,7 +73,8 @@ struct ClusterTrainOptions {
 
   // schedule.topology is ignored — the trainer always prices merges with the
   // cluster's own topology. Intra-pair sharding (max_shards_per_pair > 1)
-  // requires the working set's kOldest drop policy (see dist_solver.h).
+  // requires the working set's kOldest drop policy (see
+  // BatchSmoSolver::SolveSharded).
   ScheduleOptions schedule;
 
   // Optional chaos plan; see the header comment for how it is split into

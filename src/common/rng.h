@@ -11,6 +11,24 @@
 
 namespace gmpsvm {
 
+// SplitMix64's output finalizer: a bijective 64-bit mix whose output bits
+// each depend on every input bit.
+constexpr uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
+// One SplitMix64 step (golden-ratio increment, then Mix64): the library's
+// seed-spreading function for derived seeds — per-pair fault injectors,
+// device/node loss draws, and the retrain daemon's phase streams.
+constexpr uint64_t SplitMix64(uint64_t x) {
+  return Mix64(x + 0x9E3779B97F4A7C15ull);
+}
+
 // A seeded PRNG wrapper (xoshiro-quality via std::mt19937_64) with the
 // sampling helpers the data generators need.
 class Rng {
@@ -42,13 +60,7 @@ class Rng {
   Rng Fork(uint64_t stream) {
     // SplitMix64 finalizer over (state sample, stream id) decorrelates
     // children even for adjacent stream ids.
-    uint64_t x = engine_() ^ (stream * 0x9E3779B97F4A7C15ull);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return Rng(x);
+    return Rng(Mix64(engine_() ^ (stream * 0x9E3779B97F4A7C15ull)));
   }
 
   // Fisher-Yates shuffle.

@@ -10,7 +10,9 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/model_io.h"
@@ -22,23 +24,6 @@
 
 namespace gmpsvm {
 namespace {
-
-// Emits a named device-origin phase span for [start, end) on `stream` if the
-// executor has a span recorder attached. Phase spans envelop the leaf task
-// spans the executor records itself; they are excluded from busy-time math.
-void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
-                     double start, double end) {
-  obs::SpanRecorder* recorder = executor->span_recorder();
-  if (recorder == nullptr || end <= start) return;
-  obs::SpanEvent span;
-  span.name = std::move(name);
-  span.origin = obs::SpanEvent::Origin::kDevice;
-  span.lane = executor->lane_base() + stream;
-  span.start_seconds = start;
-  span.end_seconds = end;
-  span.is_phase = true;
-  recorder->RecordSpan(span);
-}
 
 // Accumulates trained binary SVMs into a model with (optionally deduplicated)
 // support-vector pool.
@@ -154,23 +139,10 @@ PairCheckpoint DegradedPair(int s, int t) {
   return pair;
 }
 
-uint64_t Fnv1a64(const std::string& text) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t Fnv1a64Bytes(const void* data, size_t bytes, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// Seed of the checkpoint fingerprint hashes: one digit short of the standard
+// FNV offset basis. Existing checkpoint directories carry fingerprints made
+// with it, so it must not change.
+constexpr uint64_t kCheckpointFnvSeed = 1469598103934665603ull;
 
 // Fingerprint of (dataset shape + content + the options that affect the
 // numeric result). Content means the actual labels and CSR feature arrays —
@@ -183,15 +155,14 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
   for (int k = 0; k < dataset.num_classes(); ++k) {
     key << " " << dataset.ClassRows(k).size();
   }
-  uint64_t content = 1469598103934665603ull;
+  uint64_t content = kCheckpointFnvSeed;
   const auto& labels = dataset.labels();
-  content = Fnv1a64Bytes(labels.data(), labels.size() * sizeof(labels[0]),
-                         content);
+  content = Fnv1a64(labels.data(), labels.size() * sizeof(labels[0]), content);
   const CsrMatrix& features = dataset.features();
-  content = Fnv1a64Bytes(features.col_idx().data(),
-                         features.col_idx().size() * sizeof(int32_t), content);
-  content = Fnv1a64Bytes(features.values().data(),
-                         features.values().size() * sizeof(double), content);
+  content = Fnv1a64(features.col_idx().data(),
+                    features.col_idx().size() * sizeof(int32_t), content);
+  content = Fnv1a64(features.values().data(),
+                    features.values().size() * sizeof(double), content);
   key << " content=" << content;
   key << " c=" << options.c
       << " kernel=" << KernelTypeToString(options.kernel.type)
@@ -203,7 +174,8 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
       << " cv=" << options.sigmoid_cv_folds
       << " shared_sv=" << (options.share_support_vectors ? 1 : 0);
   for (double w : options.class_weights) key << " w=" << w;
-  return Fnv1a64(key.str());
+  const std::string text = key.str();
+  return Fnv1a64(text.data(), text.size(), kCheckpointFnvSeed);
 }
 
 // Manages the checkpoint directory for one training run: loads completed
@@ -392,40 +364,42 @@ void FillReport(SimExecutor* executor, double sim_base,
   report->peak_device_bytes = executor->counters().peak_bytes_in_use;
 }
 
-// The GMP path for one pair against an arbitrary executor/stream: batched
-// solver (through the shared block cache when one is given), then concurrent
-// sigmoid fitting on the pair's own stream (Section 3.3.2). Shared by
-// GmpSvmTrainer::Train and TrainGmpPairSubset so the single-device and
-// cluster paths run identical numeric code.
+// The GMP path for one pair at `placement`: batched solver (sharded, through
+// the shared block cache, or direct), then concurrent sigmoid fitting on the
+// coordinator's stream (Section 3.3.2). Shared by GmpSvmTrainer::Train and
+// TrainGmpPair so the single-device and cluster paths run identical numeric
+// code.
 Result<PairCheckpoint> SolveGmpPairImpl(
-    const MpTrainOptions& options, BatchSmoSolver& solver,
-    KernelComputer& computer, SharedBlockCache* cache, SimExecutor* exec,
-    StreamId stream, int s, int t, const BinaryProblem& problem,
-    SolverStats* stats, double* sigmoid_seconds, bool* sigmoid_done,
+    const MpTrainOptions& options, const BatchSmoSolver& solver,
+    const KernelComputer& computer, const PairPlacement& placement, int s,
+    int t, const BinaryProblem& problem, SolverStats* stats,
+    double* sigmoid_seconds, bool* sigmoid_done,
     std::span<const double> initial_alpha = {}) {
+  SimExecutor* const exec = placement.executor;
+  const StreamId stream = placement.stream;
   BinarySolution solution;
   const double smo_t0 = exec->StreamTime(stream);
-  if (cache != nullptr) {
-    SharedRowSource source(&problem, s, t, cache, &computer);
+  if (!placement.shards.empty()) {
     GMP_ASSIGN_OR_RETURN(
-        solution,
-        initial_alpha.empty()
-            ? solver.Solve(problem, computer, &source, exec, stream, stats)
-            : solver.SolveWarm(problem, computer, &source, initial_alpha, exec,
-                               stream, stats));
+        solution, solver.SolveSharded(problem, computer, placement.shards,
+                                      placement.topology, stats,
+                                      placement.dist_stats));
   } else {
+    std::optional<SharedRowSource> shared;
+    if (placement.cache != nullptr) {
+      shared.emplace(&problem, s, t, placement.cache, &computer);
+    }
     GMP_ASSIGN_OR_RETURN(
         solution,
-        initial_alpha.empty()
-            ? solver.Solve(problem, computer, exec, stream, stats)
-            : solver.SolveWarm(problem, computer, initial_alpha, exec, stream,
-                               stats));
+        solver.SolveWarm(problem, computer, shared ? &*shared : nullptr,
+                         initial_alpha, exec, stream, stats));
   }
   RecordPhaseSpan(exec, stream, StrPrintf("smo %dv%d", s, t), smo_t0,
                   exec->StreamTime(stream));
 
   // Concurrent sigmoid fitting on the pair's own stream, with parallel
-  // candidate evaluation (Section 3.3.2).
+  // candidate evaluation (Section 3.3.2). CV folds re-solve sub-problems
+  // whole on the coordinator.
   std::vector<double> v;
   if (options.sigmoid_cv_folds >= 2) {
     GMP_ASSIGN_OR_RETURN(
@@ -701,11 +675,7 @@ Result<MpSvmModel> SequentialMpTrainer::Train(const Dataset& dataset,
       task.pair_index = p;
       task.s = s;
       task.t = t;
-      task.problem = dataset.MakePairProblem(s, t, options_.c, options_.kernel);
-      if (!options_.class_weights.empty()) {
-        task.problem.weight_pos = options_.class_weights[static_cast<size_t>(s)];
-        task.problem.weight_neg = options_.class_weights[static_cast<size_t>(t)];
-      }
+      task.problem = MakeTrainPairProblem(dataset, options_, s, t);
       tasks.push_back(std::move(task));
     }
     // Fork only once the vector is final: satellites hold &task.log.
@@ -746,12 +716,7 @@ Result<MpSvmModel> SequentialMpTrainer::Train(const Dataset& dataset,
         results[p] = *loaded;
         continue;
       }
-      BinaryProblem problem =
-          dataset.MakePairProblem(s, t, options_.c, options_.kernel);
-      if (!options_.class_weights.empty()) {
-        problem.weight_pos = options_.class_weights[static_cast<size_t>(s)];
-        problem.weight_neg = options_.class_weights[static_cast<size_t>(t)];
-      }
+      const BinaryProblem problem = MakeTrainPairProblem(dataset, options_, s, t);
 
       auto attempt = [&]() -> Result<PairCheckpoint> {
         SolverStats stats;
@@ -844,9 +809,9 @@ Result<MpSvmModel> GmpSvmTrainer::Train(const Dataset& dataset,
                         const BinaryProblem& problem, SolverStats* stats,
                         double* sigmoid_seconds,
                         bool* sigmoid_done) -> Result<PairCheckpoint> {
-    return SolveGmpPairImpl(options_, solver, computer, cache.get(), exec,
-                            stream, s, t, problem, stats, sigmoid_seconds,
-                            sigmoid_done);
+    return SolveGmpPairImpl(options_, solver, computer,
+                            PairPlacement::Whole(exec, stream, cache.get()), s,
+                            t, problem, stats, sigmoid_seconds, sigmoid_done);
   };
 
   auto merge_pair_report = [&](const SolverStats& stats, double sigmoid_seconds,
@@ -888,14 +853,8 @@ Result<MpSvmModel> GmpSvmTrainer::Train(const Dataset& dataset,
         task.s = pairs[task.pair_index].first;
         task.t = pairs[task.pair_index].second;
         task.stream = streams[gi];
-        task.problem = dataset.MakePairProblem(task.s, task.t, options_.c,
-                                               options_.kernel);
-        if (!options_.class_weights.empty()) {
-          task.problem.weight_pos =
-              options_.class_weights[static_cast<size_t>(task.s)];
-          task.problem.weight_neg =
-              options_.class_weights[static_cast<size_t>(task.t)];
-        }
+        task.problem =
+            MakeTrainPairProblem(dataset, options_, task.s, task.t);
       }
       // Each satellite mirrors its pair's own stream; nothing else touches
       // that stream before the join, so replayed spans land exactly.
@@ -931,12 +890,8 @@ Result<MpSvmModel> GmpSvmTrainer::Train(const Dataset& dataset,
         const int s = pairs[pair_index].first;
         const int t = pairs[pair_index].second;
         const StreamId stream = streams[gi];
-        BinaryProblem problem =
-            dataset.MakePairProblem(s, t, options_.c, options_.kernel);
-        if (!options_.class_weights.empty()) {
-          problem.weight_pos = options_.class_weights[static_cast<size_t>(s)];
-          problem.weight_neg = options_.class_weights[static_cast<size_t>(t)];
-        }
+        const BinaryProblem problem =
+            MakeTrainPairProblem(dataset, options_, s, t);
 
         auto attempt = [&]() -> Result<PairCheckpoint> {
           SolverStats stats;
@@ -973,6 +928,70 @@ Result<MpSvmModel> GmpSvmTrainer::Train(const Dataset& dataset,
   return builder.Finish();
 }
 
+PairFaultInjectorFactory MakePairFaultInjectorFactory(
+    const std::optional<fault::FaultPlan>& plan, obs::MetricsRegistry* metrics) {
+  if (!plan.has_value()) return nullptr;
+  return [base_plan = *plan, metrics](size_t pair_index)
+             -> std::unique_ptr<fault::FaultInjector> {
+    fault::FaultPlan pair_plan = base_plan;
+    pair_plan.seed = SplitMix64(base_plan.seed ^ SplitMix64(0x70A1Bull + pair_index));
+    // Pair injectors never consult kDeviceLoss/kNodeLoss (trainers draw
+    // losses separately), so those probabilities staying set is harmless.
+    return std::make_unique<fault::FaultInjector>(pair_plan, metrics);
+  };
+}
+
+BinaryProblem MakeTrainPairProblem(const Dataset& dataset,
+                                   const MpTrainOptions& options, int s, int t) {
+  BinaryProblem problem = dataset.MakePairProblem(s, t, options.c, options.kernel);
+  if (!options.class_weights.empty()) {
+    problem.weight_pos = options.class_weights[static_cast<size_t>(s)];
+    problem.weight_neg = options.class_weights[static_cast<size_t>(t)];
+  }
+  return problem;
+}
+
+Result<PairTrainOutcome> TrainGmpPair(
+    const MpTrainOptions& options, const KernelComputer& computer,
+    size_t pair_index, int s, int t, const BinaryProblem& problem,
+    const PairPlacement& placement,
+    const PairFaultInjectorFactory& injector_factory,
+    std::span<const double> warm_alpha) {
+  SimExecutor* const executor = placement.executor;
+  fault::FaultInjector* const base_injector = executor->fault_injector();
+  std::unique_ptr<fault::FaultInjector> pair_injector;
+  if (injector_factory != nullptr) {
+    pair_injector = injector_factory(pair_index);
+    executor->SetFaultInjector(pair_injector.get());
+  }
+
+  const BatchSmoSolver solver(options.batch);
+  PairTrainOutcome outcome;
+  outcome.pair_index = pair_index;
+  MpTrainReport pair_report;
+  auto attempt = [&]() -> Result<PairCheckpoint> {
+    SolverStats stats;
+    double sigmoid_seconds = 0.0;
+    bool sigmoid_done = false;
+    Result<PairCheckpoint> result = SolveGmpPairImpl(
+        options, solver, computer, placement, s, t, problem, &stats,
+        &sigmoid_seconds, &sigmoid_done, warm_alpha);
+    // Work done by failed attempts still counts toward the pair.
+    outcome.stats.Merge(stats);
+    outcome.sigmoid_seconds += sigmoid_seconds;
+    outcome.sigmoid_done = outcome.sigmoid_done || sigmoid_done;
+    return result;
+  };
+  Result<PairCheckpoint> pair = RunPairWithRetry(
+      options, executor, placement.stream, s, t, attempt, &pair_report);
+  if (injector_factory != nullptr) executor->SetFaultInjector(base_injector);
+  if (!pair.ok()) return pair.status();
+  outcome.checkpoint = std::move(pair).value();
+  outcome.retries = pair_report.pair_retries;
+  outcome.degraded = outcome.checkpoint.degraded;
+  return outcome;
+}
+
 Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
     const Dataset& dataset, const MpTrainOptions& options,
     SimExecutor* executor, const std::vector<size_t>& pair_indices,
@@ -999,7 +1018,6 @@ Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
                   executor->StreamTime(kDefaultStream));
 
   KernelComputer computer(&dataset.features(), options.kernel);
-  BatchSmoSolver solver(options.batch);
   // Per-device shared block cache: pairs co-located on this device reuse each
   // other's class segments; there is no cross-device sharing.
   std::unique_ptr<SharedBlockCache> cache;
@@ -1013,8 +1031,6 @@ Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
 
   std::vector<PairTrainOutcome> outcomes;
   outcomes.reserve(pair_indices.size());
-  fault::FaultInjector* const base_injector = executor->fault_injector();
-
   for (const auto& group : groups) {
     const double share = 1.0 / static_cast<double>(group.size());
     std::vector<StreamId> streams;
@@ -1026,48 +1042,15 @@ Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
       const size_t pair_index = group[gi];
       const int s = pairs[pair_index].first;
       const int t = pairs[pair_index].second;
-      const StreamId stream = streams[gi];
-      BinaryProblem problem =
-          dataset.MakePairProblem(s, t, options.c, options.kernel);
-      if (!options.class_weights.empty()) {
-        problem.weight_pos = options.class_weights[static_cast<size_t>(s)];
-        problem.weight_neg = options.class_weights[static_cast<size_t>(t)];
-      }
-
-      std::unique_ptr<fault::FaultInjector> pair_injector;
-      if (injector_factory != nullptr) {
-        pair_injector = injector_factory(pair_index);
-        executor->SetFaultInjector(pair_injector.get());
-      }
-
-      PairTrainOutcome outcome;
-      outcome.pair_index = pair_index;
-      MpTrainReport pair_report;
+      const BinaryProblem problem = MakeTrainPairProblem(dataset, options, s, t);
       const std::vector<double> warm_alpha =
           warm_start != nullptr ? warm_start(pair_index, problem)
                                 : std::vector<double>{};
-      auto attempt = [&]() -> Result<PairCheckpoint> {
-        SolverStats stats;
-        double sigmoid_seconds = 0.0;
-        bool sigmoid_done = false;
-        Result<PairCheckpoint> result = SolveGmpPairImpl(
-            options, solver, computer, cache.get(), executor, stream, s, t,
-            problem, &stats, &sigmoid_seconds, &sigmoid_done, warm_alpha);
-        // Work done by failed attempts still counts toward the pair.
-        outcome.stats.Merge(stats);
-        outcome.sigmoid_seconds += sigmoid_seconds;
-        outcome.sigmoid_done = outcome.sigmoid_done || sigmoid_done;
-        return result;
-      };
-      Result<PairCheckpoint> pair = RunPairWithRetry(
-          options, executor, stream, s, t, attempt, &pair_report);
-      if (injector_factory != nullptr) {
-        executor->SetFaultInjector(base_injector);
-      }
-      if (!pair.ok()) return pair.status();
-      outcome.checkpoint = std::move(pair).value();
-      outcome.retries = pair_report.pair_retries;
-      outcome.degraded = outcome.checkpoint.degraded;
+      GMP_ASSIGN_OR_RETURN(
+          PairTrainOutcome outcome,
+          TrainGmpPair(options, computer, pair_index, s, t, problem,
+                       PairPlacement::Whole(executor, streams[gi], cache.get()),
+                       injector_factory, warm_alpha));
       outcomes.push_back(std::move(outcome));
     }
     // Barrier between groups: buffers are reclaimed before the next group.

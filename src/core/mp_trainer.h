@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,8 @@
 #include "core/model.h"
 #include "core/model_io.h"
 #include "device/executor.h"
+#include "dist/shard.h"
+#include "fault/fault_injector.h"
 #include "fault/retry.h"
 #include "prob/platt.h"
 #include "solver/batch_smo_solver.h"
@@ -35,9 +39,7 @@
 
 namespace gmpsvm {
 
-namespace fault {
-class FaultInjector;
-}  // namespace fault
+class SharedBlockCache;
 
 // What a trainer does with a binary pair whose transient faults outlasted the
 // retry policy.
@@ -214,6 +216,68 @@ using PairFaultInjectorFactory =
 using PairWarmStartProvider =
     std::function<std::vector<double>(size_t pair_index,
                                       const BinaryProblem& problem)>;
+
+// Per-pair fault injectors for `plan`, each seeded from the plan seed and the
+// pair index only — never the device assignment — so a pair sees the same
+// fault sequence wherever it trains. Null when `plan` is empty.
+PairFaultInjectorFactory MakePairFaultInjectorFactory(
+    const std::optional<fault::FaultPlan>& plan, obs::MetricsRegistry* metrics);
+
+// The pair problem of classes (s, t) under `options`: C, kernel, and the
+// per-class weights when set.
+BinaryProblem MakeTrainPairProblem(const Dataset& dataset,
+                                   const MpTrainOptions& options, int s, int t);
+
+// Where one pair solves. Whole: on `executor`/`stream`, through the shared
+// block cache when `cache` is set. Sharded: with `shards` non-empty, the
+// pair's instances split across them (BatchSmoSolver::SolveSharded), merges
+// priced under `topology` and accounted in `dist_stats` (may be null);
+// shards[0] is the coordinator and is `executor`/`stream`, where the sigmoid
+// fit, retry backoff and fault injector live.
+struct PairPlacement {
+  static PairPlacement Whole(SimExecutor* executor, StreamId stream,
+                             SharedBlockCache* cache) {
+    PairPlacement placement;
+    placement.executor = executor;
+    placement.stream = stream;
+    placement.cache = cache;
+    return placement;
+  }
+  // `shards` must be non-empty and outlive the placement.
+  static PairPlacement Sharded(std::span<const dist::Shard> shards,
+                               const dist::ClusterTopology* topology,
+                               dist::DistStats* dist_stats) {
+    PairPlacement placement;
+    placement.executor = shards[0].executor;
+    placement.stream = shards[0].stream;
+    placement.shards = shards;
+    placement.topology = topology;
+    placement.dist_stats = dist_stats;
+    return placement;
+  }
+
+  SimExecutor* executor = nullptr;
+  StreamId stream = kDefaultStream;
+  SharedBlockCache* cache = nullptr;
+  std::span<const dist::Shard> shards;
+  const dist::ClusterTopology* topology = nullptr;
+  dist::DistStats* dist_stats = nullptr;
+};
+
+// Trains pair `pair_index` — classes (s, t), problem `problem` — at
+// `placement`: attaches the pair's injector from `injector_factory` (if any)
+// to the coordinator, solves and fits the sigmoid under the options' retry
+// policy, then restores the coordinator's previous injector. Work done by
+// failed attempts still counts toward the outcome. `warm_alpha` seeds a whole
+// placement's solve; empty solves cold. This is the one per-pair body of
+// TrainGmpPairSubset and the cluster trainer's sharded pairs, which is what
+// keeps a pair's outcome placement-invariant.
+Result<PairTrainOutcome> TrainGmpPair(
+    const MpTrainOptions& options, const KernelComputer& computer,
+    size_t pair_index, int s, int t, const BinaryProblem& problem,
+    const PairPlacement& placement,
+    const PairFaultInjectorFactory& injector_factory,
+    std::span<const double> warm_alpha = {});
 
 // Trains the subset of dataset.ClassPairs() named by `pair_indices` on one
 // executor with the GMP-SVM machinery: groups packed under the memory budget,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -43,6 +44,13 @@ Result<LibsvmFile> ParseLines(std::istream& in, int64_t min_dim,
             StrPrintf("line %lld: bad label '%s'", static_cast<long long>(line_no),
                       buf.c_str()));
       }
+      // The rounding cast below is only defined for finite, int32-ranged
+      // values; anything else would become an arbitrary phantom class.
+      if (!(std::abs(label_value) <= 2147483647.0)) {
+        return Status::IoError(StrPrintf(
+            "line %lld: label '%s' is not a finite 32-bit integer",
+            static_cast<long long>(line_no), buf.c_str()));
+      }
       label = static_cast<int32_t>(label_value >= 0 ? label_value + 0.5
                                                     : label_value - 0.5);
     }
@@ -72,6 +80,11 @@ Result<LibsvmFile> ParseLines(std::istream& in, int64_t min_dim,
       if (vend != vbuf.c_str() + vbuf.size() || errno != 0) {
         return Status::IoError(StrPrintf("line %lld: bad feature value",
                                          static_cast<long long>(line_no)));
+      }
+      if (!std::isfinite(value)) {
+        return Status::IoError(
+            StrPrintf("line %lld: non-finite feature value '%s' at index %d",
+                      static_cast<long long>(line_no), vbuf.c_str(), index));
       }
       indices.push_back(index - 1);  // to 0-based
       values.push_back(value);

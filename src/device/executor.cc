@@ -294,13 +294,24 @@ void SubmitParallelFor(SimExecutor* executor, StreamId stream, int64_t n,
                        const std::function<void(int64_t, int64_t)>& body,
                        int64_t min_chunk) {
   if (n <= 0) return;
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  executor->Submit(stream, cost, [executor, &body, n, min_chunk] {
-    executor->HostParallelFor(n, min_chunk, body);
-  });
+  executor->Submit(stream, VectorPassCost(n, flops_per_item, bytes_per_item),
+                   [executor, &body, n, min_chunk] {
+                     executor->HostParallelFor(n, min_chunk, body);
+                   });
+}
+
+void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
+                     double start, double end) {
+  obs::SpanRecorder* recorder = executor->span_recorder();
+  if (recorder == nullptr || end <= start) return;
+  obs::SpanEvent span;
+  span.name = std::move(name);
+  span.origin = obs::SpanEvent::Origin::kDevice;
+  span.lane = executor->lane_base() + stream;
+  span.start_seconds = start;
+  span.end_seconds = end;
+  span.is_phase = true;
+  recorder->RecordSpan(span);
 }
 
 }  // namespace gmpsvm

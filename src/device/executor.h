@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -60,6 +61,16 @@ struct TaskCost {
   // many compute units the task can occupy.
   int64_t parallel_items = 1;
 };
+
+// Cost of one parallel reduction / elementwise pass over `n` values.
+inline TaskCost VectorPassCost(int64_t n, double flops_per_item,
+                               double bytes_per_item) {
+  TaskCost cost;
+  cost.parallel_items = n;
+  cost.flops = flops_per_item * static_cast<double>(n);
+  cost.bytes_read = bytes_per_item * static_cast<double>(n);
+  return cost;
+}
 
 enum class TransferDirection { kHostToDevice, kDeviceToHost };
 
@@ -261,6 +272,12 @@ void SubmitParallelFor(SimExecutor* executor, StreamId stream, int64_t n,
                        double flops_per_item, double bytes_per_item,
                        const std::function<void(int64_t, int64_t)>& body,
                        int64_t min_chunk = 1);
+
+// Emits a named device-origin phase span for [start, end) on `stream` if the
+// executor has a span recorder attached. Phase spans envelop the leaf task
+// spans the executor records itself; they are excluded from busy-time math.
+void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
+                     double start, double end);
 
 }  // namespace gmpsvm
 

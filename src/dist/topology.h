@@ -3,8 +3,8 @@
 // A ClusterTopology groups the cluster's flat device list into SimNodes and
 // prices the links between devices: peers on one node talk over the
 // intra-node link (NVLink/PCIe-peer class), devices on different nodes over
-// the inter-node link (datacenter network class). The distributed solver
-// (dist_solver.h) charges its merge steps through EstimateAllreduce, and the
+// the inter-node link (datacenter network class). Sharded solves charge
+// their merge steps through EstimateAllreduce (shard.h), and the
 // pair scheduler uses the same estimate to decide whether sharding a pair's
 // instances across devices beats pair-level placement (docs/cost_model.md).
 //

@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 
 namespace gmpsvm::fault {
-namespace {
-
-// SplitMix64 finalizer — the same mixing common/rng.h uses for Fork().
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
 
 Status RetryPolicy::Validate() const {
   if (max_attempts < 1) {

@@ -8,22 +8,6 @@
 #include "common/string_util.h"
 
 namespace gmpsvm::online {
-namespace {
-
-// Same construction as the cluster trainer's pair-injector seeding: a pure
-// function of (plan seed, pair index), never of the device assignment.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t PairFaultSeed(uint64_t plan_seed, size_t pair_index) {
-  return SplitMix64(plan_seed ^ SplitMix64(0x70A1Bull + pair_index));
-}
-
-}  // namespace
 
 Status WarmRetrainOptions::Validate(int num_classes) const {
   GMP_RETURN_NOT_OK(train.Validate(num_classes));
@@ -114,17 +98,10 @@ Result<MpSvmModel> WarmRetrain(const Dataset& dataset,
 
   int64_t warm_seeded_rows = 0;
 
-  PairFaultInjectorFactory injector_factory;
-  if (options.fault.has_value()) {
-    const fault::FaultPlan base_plan = *options.fault;
-    obs::MetricsRegistry* fault_metrics = options.fault_metrics;
-    injector_factory = [base_plan, fault_metrics](size_t pair_index)
-        -> std::unique_ptr<fault::FaultInjector> {
-      fault::FaultPlan plan = base_plan;
-      plan.seed = PairFaultSeed(base_plan.seed, pair_index);
-      return std::make_unique<fault::FaultInjector>(plan, fault_metrics);
-    };
-  }
+  // Same per-pair injector seeding as the cluster trainer, so a pair's fault
+  // sequence never depends on the device assignment.
+  const PairFaultInjectorFactory injector_factory =
+      MakePairFaultInjectorFactory(options.fault, options.fault_metrics);
 
   const int n_devices = cluster->num_devices();
   const cluster::PairAssignment assignment = cluster::SchedulePairs(

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -17,16 +17,28 @@ namespace {
 constexpr double kTau = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-TaskCost VectorPassCost(int64_t n, double flops_per_item, double bytes_per_item) {
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  return cost;
+// Serialized size of one working-set candidate: (int32 index, double f).
+constexpr double kCandidateBytes = 12.0;
+
+// The error a non-finite solver quantity of local instance `i` fails with.
+Status NonFiniteError(const char* what, const BinaryProblem& problem, int64_t i,
+                      double value) {
+  return Status::InvalidArgument(StrPrintf(
+      "non-finite %s = %g at instance %lld (dataset row %d): the features or "
+      "kernel parameters contain NaN/Inf",
+      what, value, static_cast<long long>(i),
+      problem.rows[static_cast<size_t>(i)]));
 }
 
-}  // namespace
+// Alpha deltas of one two-variable SMO update.
+struct SmoPairDelta {
+  double d_alpha_u = 0.0;
+  double d_alpha_l = 0.0;
+};
 
+// One LibSVM-style two-variable update for the working-set pair (u, l):
+// steps alpha[u]/alpha[l] along the constrained Newton direction and clips to
+// the box.
 SmoPairDelta SmoUpdatePair(int32_t u, int32_t l, std::span<const int8_t> y,
                            double c_u_bound, double c_l_bound, double k_uu,
                            double k_ll, double k_ul, std::span<const double> f,
@@ -97,6 +109,8 @@ SmoPairDelta SmoUpdatePair(int32_t u, int32_t l, std::span<const int8_t> y,
   return SmoPairDelta{a_u - old_au, a_l - old_al};
 }
 
+}  // namespace
+
 Status BatchSmoOptions::Validate() const {
   if (working_set.ws_size < 2) {
     return Status::InvalidArgument(
@@ -140,8 +154,7 @@ Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
                                              const KernelComputer& computer,
                                              SimExecutor* executor, StreamId stream,
                                              SolverStats* stats) const {
-  DirectRowSource source(&problem, &computer);
-  return SolveImpl(problem, computer, &source, {}, executor, stream, stats);
+  return SolveWarm(problem, computer, nullptr, {}, executor, stream, stats);
 }
 
 Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
@@ -149,7 +162,7 @@ Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
                                              KernelRowSource* source,
                                              SimExecutor* executor, StreamId stream,
                                              SolverStats* stats) const {
-  return SolveImpl(problem, computer, source, {}, executor, stream, stats);
+  return SolveWarm(problem, computer, source, {}, executor, stream, stats);
 }
 
 Result<BinarySolution> BatchSmoSolver::SolveWarm(const BinaryProblem& problem,
@@ -158,8 +171,7 @@ Result<BinarySolution> BatchSmoSolver::SolveWarm(const BinaryProblem& problem,
                                                  SimExecutor* executor,
                                                  StreamId stream,
                                                  SolverStats* stats) const {
-  DirectRowSource source(&problem, &computer);
-  return SolveImpl(problem, computer, &source, initial_alpha, executor, stream,
+  return SolveWarm(problem, computer, nullptr, initial_alpha, executor, stream,
                    stats);
 }
 
@@ -170,17 +182,33 @@ Result<BinarySolution> BatchSmoSolver::SolveWarm(const BinaryProblem& problem,
                                                  SimExecutor* executor,
                                                  StreamId stream,
                                                  SolverStats* stats) const {
-  return SolveImpl(problem, computer, source, initial_alpha, executor, stream,
-                   stats);
+  const dist::Shard whole{executor, stream, 0, 0, problem.n()};
+  return SolveImpl(problem, computer, source, initial_alpha, {&whole, 1},
+                   nullptr, stats, nullptr);
 }
 
-Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
-                                                 const KernelComputer& computer,
-                                                 KernelRowSource* source,
-                                                 std::span<const double> initial_alpha,
-                                                 SimExecutor* executor,
-                                                 StreamId stream,
-                                                 SolverStats* stats) const {
+Result<BinarySolution> BatchSmoSolver::SolveSharded(
+    const BinaryProblem& problem, const KernelComputer& computer,
+    std::span<const dist::Shard> shards, const dist::ClusterTopology* topology,
+    SolverStats* stats, dist::DistStats* dist_stats) const {
+  GMP_RETURN_NOT_OK(options_.Validate());
+  if (options_.working_set.drop_policy !=
+      WorkingSetConfig::DropPolicy::kOldest) {
+    return Status::InvalidArgument("sharded solve requires DropPolicy::kOldest");
+  }
+  if (topology == nullptr) {
+    return Status::InvalidArgument("sharded solve requires a topology");
+  }
+  GMP_RETURN_NOT_OK(dist::ValidateShards(shards, problem.n(), *topology));
+  return SolveImpl(problem, computer, nullptr, {}, shards, topology, stats,
+                   dist_stats);
+}
+
+Result<BinarySolution> BatchSmoSolver::SolveImpl(
+    const BinaryProblem& problem, const KernelComputer& computer,
+    KernelRowSource* source, std::span<const double> initial_alpha,
+    std::span<const dist::Shard> shards, const dist::ClusterTopology* topology,
+    SolverStats* stats, dist::DistStats* dist_stats) const {
   GMP_RETURN_NOT_OK(options_.Validate());
   const int64_t n = problem.n();
   if (n < 2) {
@@ -189,7 +217,29 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
   if (problem.C <= 0) {
     return Status::InvalidArgument("C must be positive");
   }
+  // The coordinator runs the inner subproblems, carries the only fault
+  // injector, and owns the solver's phase attribution.
+  SimExecutor* const executor = shards[0].executor;
+  const StreamId stream = shards[0].stream;
+
+  // Every vector pass is charged per shard over the shard's own range.
+  const auto charge_pass = [&](double flops_per_item, double bytes_per_item) {
+    for (const dist::Shard& shard : shards) {
+      shard.executor->Charge(shard.stream,
+                             VectorPassCost(shard.end - shard.begin,
+                                            flops_per_item, bytes_per_item));
+    }
+  };
+  // Merges join the shard streams only when a topology prices them.
+  const auto barrier = [&](double payload_bytes, const char* label) {
+    if (topology != nullptr) {
+      dist::AllreduceBarrier(shards, *topology, payload_bytes, label,
+                             dist_stats);
+    }
+  };
+
   const auto& y = problem.y;
+  const std::span<const int8_t> y_span(y);
   // Per-instance box constraints (class-weighted C).
   std::vector<double> cvec(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
@@ -202,33 +252,47 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       std::max<int64_t>(options_.buffer_rows > 0 ? options_.buffer_rows : ws_size,
                         ws_size);
 
-  // Reserve the GPU buffer against the device budget. A transient (injected)
-  // allocation failure is retried in place; genuine OOM propagates.
-  DeviceAllocation buffer_reservation;
+  // Reserve the GPU buffer against the device budget. The buffer is
+  // column-sharded: each shard reserves the slice of every buffered row
+  // covering its own range. A transient (injected) allocation failure is
+  // retried in place; genuine OOM propagates.
+  std::vector<DeviceAllocation> reservations;
   if (options_.buffer_on_device) {
-    const size_t buffer_bytes =
-        static_cast<size_t>(buffer_rows * n) * sizeof(double);
-    for (int attempt = 1;; ++attempt) {
-      auto reservation = executor->Allocate(buffer_bytes);
-      if (reservation.ok()) {
-        buffer_reservation = std::move(*reservation);
-        break;
+    reservations.reserve(shards.size());
+    for (const dist::Shard& shard : shards) {
+      const size_t slice_bytes =
+          static_cast<size_t>(buffer_rows * (shard.end - shard.begin)) *
+          sizeof(double);
+      for (int attempt = 1;; ++attempt) {
+        auto reservation = shard.executor->Allocate(slice_bytes);
+        if (reservation.ok()) {
+          reservations.push_back(std::move(*reservation));
+          break;
+        }
+        if (!reservation.status().IsUnavailable() ||
+            attempt >= options_.max_alloc_retries) {
+          return reservation.status();
+        }
+        if (stats != nullptr) ++stats->alloc_retries;
       }
-      if (!reservation.status().IsUnavailable() ||
-          attempt >= options_.max_alloc_retries) {
-        return reservation.status();
-      }
-      if (stats != nullptr) ++stats->alloc_retries;
     }
   }
   KernelBuffer buffer(n, buffer_rows, options_.buffer_policy);
   buffer.SetFaultInjector(executor->fault_injector());
 
-  // Solver state.
+  // Without an explicit source, rows come straight from the feature matrix,
+  // computed per shard.
+  std::optional<DirectRowSource> direct;
+  if (source == nullptr) {
+    source = &direct.emplace(&problem, &computer, shards, topology, ws_size,
+                             dist_stats);
+  }
+
+  // Solver state (host-resident; shards charge their slices of each pass).
   std::vector<double> alpha(static_cast<size_t>(n), 0.0);
   std::vector<double> f(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) f[static_cast<size_t>(i)] = -static_cast<double>(y[i]);
-  executor->Charge(stream, VectorPassCost(n, 1.0, sizeof(double)));
+  charge_pass(1.0, sizeof(double));
 
   if (!initial_alpha.empty()) {
     if (static_cast<int64_t>(initial_alpha.size()) != n) {
@@ -252,7 +316,8 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
         drift -= static_cast<double>(y[i]) * reduce;
       }
     }
-    // f_i = sum_j alpha_j y_j K_ij - y_i via one batched product over seeds.
+    // f_i = sum_j alpha_j y_j K_ij - y_i via one batched product over seeds
+    // (warm starts are single-device: SolveSharded is cold).
     std::vector<int32_t> seed_locals;
     for (int64_t j = 0; j < n; ++j) {
       if (alpha[static_cast<size_t>(j)] > 0.0) {
@@ -273,9 +338,8 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
         const double* row = block.data() + m * static_cast<size_t>(n);
         for (int64_t i = 0; i < n; ++i) f[static_cast<size_t>(i)] += coef * row[i];
       }
-      executor->Charge(
-          stream, VectorPassCost(n, 2.0 * static_cast<double>(seed_locals.size()),
-                                 2 * sizeof(double)));
+      charge_pass(2.0 * static_cast<double>(seed_locals.size()),
+                  2 * sizeof(double));
     }
   }
 
@@ -283,8 +347,12 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
   for (int64_t i = 0; i < n; ++i) {
     diag[static_cast<size_t>(i)] =
         computer.SelfKernelA(problem.rows[static_cast<size_t>(i)]);
+    if (!std::isfinite(diag[static_cast<size_t>(i)])) {
+      return NonFiniteError("self-kernel value K(x, x)", problem, i,
+                            diag[static_cast<size_t>(i)]);
+    }
   }
-  executor->Charge(stream, VectorPassCost(n, 2.0, sizeof(double)));
+  charge_pass(2.0, sizeof(double));
 
   const int max_inner =
       options_.max_inner > 0 ? options_.max_inner : std::max(2, ws_size / 2);
@@ -294,6 +362,7 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
   double subproblem_time = 0.0;
 
   std::vector<int32_t> present, missing;
+  std::vector<WorkingSetSelector::ShardCandidates> candidates(shards.size());
   std::vector<double*> row_ptr(static_cast<size_t>(n), nullptr);
   std::vector<double> delta_alpha(static_cast<size_t>(n), 0.0);
   std::vector<uint8_t> in_ws(static_cast<size_t>(n), 0);
@@ -307,25 +376,54 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       break;
     }
 
-    // Global convergence check (one parallel reduction over n).
+    // Global convergence check: per-shard partial reductions merged by one
+    // tiny allreduce (min/max merge bit-identically in any order). A
+    // non-finite indicator would poison every later selection, so it fails
+    // the solve here instead.
     double f_up_min = kInf, f_low_max = -kInf;
     for (int64_t i = 0; i < n; ++i) {
       const double fi = f[static_cast<size_t>(i)];
+      if (!std::isfinite(fi)) {
+        return NonFiniteError("optimality indicator f", problem, i, fi);
+      }
       const double a = alpha[static_cast<size_t>(i)];
       if (InUpSet(y[i], a, cvec[static_cast<size_t>(i)])) f_up_min = std::min(f_up_min, fi);
       if (InLowSet(y[i], a, cvec[static_cast<size_t>(i)])) f_low_max = std::max(f_low_max, fi);
     }
-    executor->Charge(stream, VectorPassCost(n, 2.0, 2 * sizeof(double)));
+    charge_pass(2.0, 2 * sizeof(double));
+    barrier(2 * sizeof(double), "allreduce_delta");
     const double delta = f_low_max - f_up_min;
     if (delta < options_.eps) break;
     if (delta0 < 0) delta0 = delta;
 
-    // Refresh the working set (sorting by f dominates: n log n).
-    const std::vector<int32_t>& ws =
-        selector.Update(f, alpha, std::span<const int8_t>(y), cvec);
-    executor->Charge(stream,
-                     VectorPassCost(n, 2.0 * std::log2(static_cast<double>(n) + 2.0),
-                                    2 * sizeof(double)));
+    // Refresh the working set; each shard sorts its own range (sorting by f
+    // dominates: len log len). One shard keeps the full sort, the only
+    // refresh kLeastViolating supports. Several shards each collect their
+    // top candidates and the merge admits exactly what the full sort would
+    // (working_set.h).
+    for (const dist::Shard& shard : shards) {
+      const int64_t len = shard.end - shard.begin;
+      shard.executor->Charge(
+          shard.stream,
+          VectorPassCost(len, 2.0 * std::log2(static_cast<double>(len) + 2.0),
+                         2 * sizeof(double)));
+    }
+    const std::vector<int32_t>* ws_ptr = nullptr;
+    double candidate_bytes = 0.0;
+    if (shards.size() == 1) {
+      ws_ptr = &selector.Update(f, alpha, y_span, cvec);
+    } else {
+      const int needed = selector.BeginDistributedRefresh();
+      for (size_t si = 0; si < shards.size(); ++si) {
+        candidates[si] = selector.CollectShardCandidates(
+            shards[si].begin, shards[si].end, needed, f, alpha, y_span, cvec);
+      }
+      ws_ptr = &selector.FinishDistributedRefresh(candidates, f, alpha, y_span,
+                                                  cvec);
+      candidate_bytes = 2.0 * static_cast<double>(needed) * kCandidateBytes;
+    }
+    barrier(candidate_bytes, "allreduce_ws");
+    const std::vector<int32_t>& ws = *ws_ptr;
 
     // Ensure all working-set rows are buffered; batch-compute the missing
     // ones (this is THE kernel-value computation of Figure 11).
@@ -358,8 +456,10 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       }
     }
     if (!present.empty()) {
-      executor->counters().kernel_values_reused +=
-          static_cast<int64_t>(present.size()) * n;
+      for (const dist::Shard& shard : shards) {
+        shard.executor->counters().kernel_values_reused +=
+            static_cast<int64_t>(present.size()) * (shard.end - shard.begin);
+      }
       if (stats != nullptr) {
         stats->kernel_rows_reused += static_cast<int64_t>(present.size());
       }
@@ -449,6 +549,10 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
     iterations += inner_done;
     subproblem_time += executor->StreamTime(stream) - inner_t0;
 
+    // Broadcast the batch's net alpha deltas so every shard can update its
+    // slice of f.
+    barrier(static_cast<double>(ws_size) * sizeof(double), "allreduce_alpha");
+
     // Propagate the net alpha change to all n optimality indicators
     // (Equation (8) with the batch's aggregate delta; Line 11 of Alg. 2).
     int changed = 0;
@@ -467,9 +571,7 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       }
     }
     if (changed > 0) {
-      TaskCost cost = VectorPassCost(n, 2.0 * changed,
-                                     static_cast<double>(changed) * sizeof(double));
-      executor->Charge(stream, cost);
+      charge_pass(2.0 * changed, static_cast<double>(changed) * sizeof(double));
     } else if (inner_done == 0) {
       // The working set admitted no violating pair although the global check
       // saw one; numerically stuck — bail out rather than loop forever.
@@ -477,6 +579,9 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       break;
     }
   }
+
+  // Final sync: the solve finishes when every shard's stream has drained.
+  barrier(0.0, "dist_sync");
 
   if (stats != nullptr) {
     stats->iterations += iterations;
@@ -488,36 +593,7 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
                                    kernel_time - subproblem_time);
   }
 
-  // Bias and objective exactly as in SmoSolver.
-  double sum_free = 0.0;
-  int64_t num_free = 0;
-  double f_up_min = kInf, f_low_max = -kInf;
-  for (int64_t i = 0; i < n; ++i) {
-    const double a = alpha[static_cast<size_t>(i)];
-    const double fi = f[static_cast<size_t>(i)];
-    if (a > 0 && a < cvec[static_cast<size_t>(i)]) {
-      sum_free += fi;
-      ++num_free;
-    }
-    if (InUpSet(y[i], a, cvec[static_cast<size_t>(i)])) f_up_min = std::min(f_up_min, fi);
-    if (InLowSet(y[i], a, cvec[static_cast<size_t>(i)])) f_low_max = std::max(f_low_max, fi);
-  }
-  const double rho = num_free > 0 ? sum_free / static_cast<double>(num_free)
-                                  : (f_up_min + f_low_max) / 2.0;
-
-  double objective = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    objective += alpha[static_cast<size_t>(i)] *
-                 (y[i] * f[static_cast<size_t>(i)] - 1.0);
-  }
-  objective *= -0.5;
-
-  BinarySolution solution;
-  solution.alpha = std::move(alpha);
-  solution.bias = -rho;
-  solution.objective = objective;
-  solution.f = std::move(f);
-  return solution;
+  return FinishBinarySolution(std::move(alpha), std::move(f), y_span, cvec);
 }
 
 }  // namespace gmpsvm

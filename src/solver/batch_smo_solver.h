@@ -15,7 +15,9 @@
 //     the negative effect of local optimization on the working set").
 //
 // The solver produces the same classifier as SmoSolver/LibSVM up to the
-// shared optimality tolerance (verified in tests and Table 4's bench).
+// shared optimality tolerance (verified in tests and Table 4's bench). The
+// same loop also solves a pair with its instances sharded across devices
+// (SolveSharded); a single-device solve is its one-shard case.
 
 #ifndef GMPSVM_SOLVER_BATCH_SMO_SOLVER_H_
 #define GMPSVM_SOLVER_BATCH_SMO_SOLVER_H_
@@ -24,6 +26,8 @@
 #include <span>
 
 #include "device/executor.h"
+#include "dist/shard.h"
+#include "dist/topology.h"
 #include "kernel/kernel_computer.h"
 #include "solver/kernel_buffer.h"
 #include "solver/kernel_row_source.h"
@@ -79,26 +83,12 @@ struct BatchSmoOptions {
   Status Validate() const;
 };
 
-// Alpha deltas of one two-variable SMO update.
-struct SmoPairDelta {
-  double d_alpha_u = 0.0;
-  double d_alpha_l = 0.0;
-};
-
-// One LibSVM-style two-variable update for the working-set pair (u, l):
-// steps alpha[u]/alpha[l] along the constrained Newton direction and clips to
-// the box. Shared by the batched solver's inner loop and the distributed
-// solver (src/dist), which must replicate its arithmetic bit for bit.
-SmoPairDelta SmoUpdatePair(int32_t u, int32_t l, std::span<const int8_t> y,
-                           double c_u_bound, double c_l_bound, double k_uu,
-                           double k_ll, double k_ul, std::span<const double> f,
-                           std::span<double> alpha);
-
 class BatchSmoSolver {
  public:
   explicit BatchSmoSolver(const BatchSmoOptions& options) : options_(options) {}
 
-  // Trains one binary SVM; kernel rows come from `source` (direct or shared).
+  // Trains one binary SVM; kernel rows come from `source` (direct or shared;
+  // null computes them directly from the feature matrix).
   Result<BinarySolution> Solve(const BinaryProblem& problem,
                                const KernelComputer& computer,
                                KernelRowSource* source, SimExecutor* executor,
@@ -122,9 +112,10 @@ class BatchSmoSolver {
                                    SolverStats* stats) const;
 
   // Warm-started solve against an explicit kernel-row source (the shared
-  // kernel-block path); otherwise identical to SolveWarm above. This is the
-  // online pipeline's retraining entry point: initial_alpha comes from the
-  // previous model's per-pair checkpoint, mapped onto the new problem's rows.
+  // kernel-block path; null as in Solve); otherwise identical to SolveWarm
+  // above. This is the online pipeline's retraining entry point:
+  // initial_alpha comes from the previous model's per-pair checkpoint,
+  // mapped onto the new problem's rows.
   Result<BinarySolution> SolveWarm(const BinaryProblem& problem,
                                    const KernelComputer& computer,
                                    KernelRowSource* source,
@@ -132,13 +123,59 @@ class BatchSmoSolver {
                                    SimExecutor* executor, StreamId stream,
                                    SolverStats* stats) const;
 
+  // Trains one binary SVM with the problem's instances sharded across devices
+  // (intra-pair data parallelism). Each shard owns a contiguous local-index
+  // range [begin, end) (dist/shard.h). Per outer round, every shard computes
+  // its slice of the missing working-set kernel rows, its slice of the
+  // f-vector update, and its local top-q violator candidates; the global
+  // working set is then selected by a deterministic merge in the same total
+  // order (f, index) the single-device sort uses, and the inner SMO
+  // subproblems run on the coordinator (shards[0]). Merges are priced as
+  // recursive-doubling allreduces under `topology`'s per-link model.
+  //
+  // Determinism contract: the solution, SolverStats counters, and every
+  // kernel value are byte-identical to Solve on a single device, for any
+  // shard count and any placement of the shards across nodes — only
+  // simulated time (and hence phase attribution) depends on the topology.
+  // The single-device solve is this same loop over one shard, so the loop
+  // body is shared by construction; three facts carry the rest:
+  //   * kernel slices — KernelComputer::ComputeBlock values are per-element
+  //     independent of the target subset, so per-shard slices concatenate to
+  //     the exact full-row bits;
+  //   * selection — WorkingSetSelector's distributed refresh admits exactly
+  //     the members the full sort would (working_set.h);
+  //   * updates — the inner loop and the aggregate f update run in one
+  //     element order whatever the sharding, and the convergence reduction
+  //     merges min/max, which are order-free.
+  // Fault parity: only the coordinator's executor may carry a FaultInjector
+  // (the trainer attaches the per-pair injector there); the solver then
+  // consults kDeviceAlloc / kKernelRowBatch / kBufferEvict in exactly the
+  // single-device sequence, so chaos runs recover the clean model too.
+  //
+  // Cold start only (the warm-retrain path never shards). Requires
+  // WorkingSetConfig::DropPolicy::kOldest — the distributed refresh cannot
+  // reproduce kLeastViolating's tie behaviour — a non-null `topology`
+  // covering every shard's device, and shards that ValidateShards accepts.
+  // `stats` and `dist_stats` may be null; both accumulate.
+  Result<BinarySolution> SolveSharded(const BinaryProblem& problem,
+                                      const KernelComputer& computer,
+                                      std::span<const dist::Shard> shards,
+                                      const dist::ClusterTopology* topology,
+                                      SolverStats* stats,
+                                      dist::DistStats* dist_stats) const;
+
  private:
+  // The one batched-SMO loop. A single-device solve is one shard covering
+  // [0, n) with no topology (no merges); `source` null means a
+  // DirectRowSource over the shards.
   Result<BinarySolution> SolveImpl(const BinaryProblem& problem,
                                    const KernelComputer& computer,
                                    KernelRowSource* source,
                                    std::span<const double> initial_alpha,
-                                   SimExecutor* executor, StreamId stream,
-                                   SolverStats* stats) const;
+                                   std::span<const dist::Shard> shards,
+                                   const dist::ClusterTopology* topology,
+                                   SolverStats* stats,
+                                   dist::DistStats* dist_stats) const;
 
   BatchSmoOptions options_;
 };

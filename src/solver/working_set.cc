@@ -8,6 +8,40 @@
 
 namespace gmpsvm {
 
+BinarySolution FinishBinarySolution(std::vector<double> alpha,
+                                    std::vector<double> f,
+                                    std::span<const int8_t> y,
+                                    std::span<const double> c) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double sum_free = 0.0;
+  int64_t num_free = 0;
+  double f_up_min = kInf, f_low_max = -kInf;
+  for (size_t i = 0; i < alpha.size(); ++i) {
+    const double a = alpha[i];
+    const double fi = f[i];
+    if (a > 0 && a < c[i]) {
+      sum_free += fi;
+      ++num_free;
+    }
+    if (InUpSet(y[i], a, c[i])) f_up_min = std::min(f_up_min, fi);
+    if (InLowSet(y[i], a, c[i])) f_low_max = std::max(f_low_max, fi);
+  }
+  const double rho = num_free > 0 ? sum_free / static_cast<double>(num_free)
+                                  : (f_up_min + f_low_max) / 2.0;
+
+  double objective = 0.0;
+  for (size_t i = 0; i < alpha.size(); ++i) {
+    objective += alpha[i] * (y[i] * f[i] - 1.0);
+  }
+
+  BinarySolution solution;
+  solution.alpha = std::move(alpha);
+  solution.bias = -rho;
+  solution.objective = -0.5 * objective;
+  solution.f = std::move(f);
+  return solution;
+}
+
 WorkingSetSelector::WorkingSetSelector(const WorkingSetConfig& config, int64_t n)
     : drop_policy_(config.drop_policy), n_(n) {
   ws_size_ = static_cast<int>(std::min<int64_t>(std::max(2, config.ws_size), n));

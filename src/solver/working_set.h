@@ -17,6 +17,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "solver/svm_problem.h"
+
 namespace gmpsvm {
 
 // Eligibility sets from Section 2.1.1. I_up = I_1 u I_2 u I_3 (y_i*alpha_i
@@ -28,6 +30,17 @@ inline bool InUpSet(int8_t y, double alpha, double c) {
 inline bool InLowSet(int8_t y, double alpha, double c) {
   return (y > 0 && alpha > 0) || (y < 0 && alpha < c);
 }
+
+// Packs a solver's final dual state into a BinarySolution, identically for
+// every SMO variant. Bias (Equation (11)): b = -rho, rho the mean f over free
+// support vectors (0 < alpha_i < c_i), or the midpoint of the violation
+// interval when none are free. Objective: the maximization form of
+// problem (2), sum(alpha) - 0.5*alpha'Q alpha = -0.5 * sum_i alpha_i (G_i - 1)
+// with G_i = y_i f_i. `c` is each instance's box constraint.
+BinarySolution FinishBinarySolution(std::vector<double> alpha,
+                                    std::vector<double> f,
+                                    std::span<const int8_t> y,
+                                    std::span<const double> c);
 
 struct WorkingSetConfig {
   // Working set size == GPU buffer rows (the paper's bs; default 1024).
@@ -57,10 +70,10 @@ class WorkingSetSelector {
 
   const std::vector<int32_t>& working_set() const { return members_; }
 
-  // --- Distributed refresh (src/dist) ---------------------------------------
+  // --- Distributed refresh (sharded solves) ---------------------------------
   //
-  // The distributed solver selects the same working set as Update() without
-  // any shard looking at instances outside its contiguous range:
+  // BatchSmoSolver::SolveSharded selects the same working set as Update()
+  // without any shard looking at instances outside its contiguous range:
   //   1. BeginDistributedRefresh() drops the stale members (bookkeeping only
   //      under kOldest) and returns how many new violators the merge needs;
   //   2. each shard calls CollectShardCandidates() over its own range and

@@ -56,6 +56,32 @@ TEST(ParseLibsvmTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseLibsvm("1 1\n0 1:2\n").ok());           // missing colon
 }
 
+TEST(ParseLibsvmTest, RejectsNonFiniteValuesWithLinePosition) {
+  for (const char* content : {"0 1:0.5\n1 1:nan 2:0.1\n",
+                              "0 1:0.5\n1 1:0.2 2:inf\n",
+                              "0 1:0.5\n1 2:-INF\n"}) {
+    const auto file = ParseLibsvm(content);
+    ASSERT_FALSE(file.ok()) << content;
+    EXPECT_NE(file.status().message().find("line 2"), std::string::npos)
+        << file.status().message();
+    EXPECT_NE(file.status().message().find("non-finite"), std::string::npos)
+        << file.status().message();
+  }
+}
+
+TEST(ParseLibsvmTest, RejectsNonFiniteOrOutOfRangeLabels) {
+  // A NaN label used to pass through an undefined float->int cast and turn
+  // into a phantom extra class.
+  for (const char* content : {"0 1:0.5\n1 1:0.7\nnan 1:0.9\n",
+                              "0 1:0.5\n1 1:0.7\ninf 1:0.9\n",
+                              "0 1:0.5\n1 1:0.7\n1e12 1:0.9\n"}) {
+    const auto file = ParseLibsvm(content);
+    ASSERT_FALSE(file.ok()) << content;
+    EXPECT_NE(file.status().message().find("line 3"), std::string::npos)
+        << file.status().message();
+  }
+}
+
 TEST(ParseLibsvmTest, ScientificNotationValues) {
   auto file = ValueOrDie(ParseLibsvm("1 1:1e-3 2:2.5E2\n0 1:-4e0\n"));
   EXPECT_DOUBLE_EQ(file.dataset.features().RowValues(0)[0], 1e-3);

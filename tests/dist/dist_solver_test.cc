@@ -1,11 +1,11 @@
-// Distributed (intra-pair sharded) SMO: the solver's byte-identity contract
-// against the single-device BatchSmoSolver — solution, f indicators, and
-// SolverStats counters — for any shard count and placement, clean and under
-// a chaos fault plan on the coordinator. Plus unit coverage for the network
-// cost model (topology.h): link pricing, recursive-doubling allreduce
-// rounds, and intra/inter byte classification.
+// Distributed (intra-pair sharded) SMO: BatchSmoSolver::SolveSharded's
+// byte-identity contract against the single-device solve — solution, f
+// indicators, and SolverStats counters — for any shard count and placement,
+// clean and under a chaos fault plan on the coordinator. Plus unit coverage
+// for the network cost model (topology.h): link pricing, recursive-doubling
+// allreduce rounds, and intra/inter byte classification.
 
-#include "dist/dist_solver.h"
+#include "dist/shard.h"
 
 #include <gtest/gtest.h>
 
@@ -144,8 +144,8 @@ Solved SolveSharded(const BinaryProblem& p, const BatchSmoOptions& opts,
   }
   shards[0].executor->SetFaultInjector(injector);
   Solved out;
-  out.solution = ValueOrDie(DistSmoSolver(opts, &topo).Solve(
-      p, kc, shards, &out.stats, &out.dist));
+  out.solution = ValueOrDie(BatchSmoSolver(opts).SolveSharded(
+      p, kc, shards, &topo, &out.stats, &out.dist));
   return out;
 }
 
@@ -250,8 +250,8 @@ TEST(DistSmoSolverTest, RejectsInjectorOnSecondaryShard) {
             ranges[0].second},
       Shard{devices.device(1), kDefaultStream, 1, ranges[1].first,
             ranges[1].second}};
-  auto result = DistSmoSolver(SmallOptions(), &topo)
-                    .Solve(p, kc, shards, nullptr, nullptr);
+  auto result = BatchSmoSolver(SmallOptions())
+                    .SolveSharded(p, kc, shards, &topo, nullptr, nullptr);
   EXPECT_FALSE(result.ok());
 }
 
@@ -264,8 +264,8 @@ TEST(DistSmoSolverTest, RejectsNonCoveringShards) {
       cluster::SimCluster::Homogeneous(2, ExecutorModel::TeslaP100());
   std::vector<Shard> shards = {
       Shard{devices.device(0), kDefaultStream, 0, 0, p.n() - 1}};  // gap
-  auto result = DistSmoSolver(SmallOptions(), &topo)
-                    .Solve(p, kc, shards, nullptr, nullptr);
+  auto result = BatchSmoSolver(SmallOptions())
+                    .SolveSharded(p, kc, shards, &topo, nullptr, nullptr);
   EXPECT_FALSE(result.ok());
 }
 

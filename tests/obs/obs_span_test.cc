@@ -144,25 +144,29 @@ TEST(TraceRecorderTest, LaneWidthWrapsStreamsIntoBand) {
   cost.flops = 1e9;
   exec.Charge(last, cost);
   ASSERT_EQ(trace.size(), 1u);
-  const SpanEvent& span = trace.events().back();
+  const SpanEvent span = trace.events().back();  // events() returns a copy
   EXPECT_GE(span.lane, 16);
   EXPECT_LT(span.lane, 20);
 }
 
-// Regression guard for the deleted ExecutionTrace shim (PR 2's deprecation,
-// removed in PR 5): the public API docs must describe SetSpanRecorder /
-// TraceRecorder only, never the old header or class.
+// Regression guard for deleted public names: the ExecutionTrace shim (the
+// docs describe SetSpanRecorder / TraceRecorder only) and the separate
+// distributed solver, folded into BatchSmoSolver::SolveSharded. The docs
+// must never name the old headers or classes.
 TEST(TraceShimRemovalTest, DocsDoNotMentionTheDeletedShim) {
   for (const char* rel : {"docs/api.md", "docs/observability.md",
-                          "docs/cost_model.md", "README.md"}) {
+                          "docs/cost_model.md", "docs/scaling.md",
+                          "README.md"}) {
     const std::string path = std::string(GMPSVM_REPO_DIR "/") + rel;
     std::ifstream in(path);
     ASSERT_TRUE(in.good()) << path;
     std::stringstream buffer;
     buffer << in.rdbuf();
     const std::string text = buffer.str();
-    EXPECT_EQ(text.find("ExecutionTrace"), std::string::npos) << rel;
-    EXPECT_EQ(text.find("device/trace.h"), std::string::npos) << rel;
+    for (const char* stale : {"ExecutionTrace", "device/trace.h",
+                              "DistSmoSolver", "dist/dist_solver.h"}) {
+      EXPECT_EQ(text.find(stale), std::string::npos) << rel << ": " << stale;
+    }
   }
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "../test_util.h"
 #include "device/executor.h"
+#include "dist/shard.h"
 #include "solver/smo_solver.h"
 
 namespace gmpsvm {
@@ -304,6 +308,73 @@ TEST(BatchSmoOptionsValidateTest, NamesTheOffendingField) {
                                            nullptr);
   ASSERT_FALSE(sol.ok());
   EXPECT_TRUE(sol.status().IsInvalidArgument());
+}
+
+TEST(BatchSmoSolverTest, NonFiniteInputFailsNamingTheInstance) {
+  // One NaN feature used to leave the solver "stalled" with a degenerate
+  // solution; it must now fail with InvalidArgument naming the instance —
+  // on one device and sharded alike.
+  BinaryBlobs blobs = MakeBinaryBlobs(12, 3, 1.5, 91);
+  std::vector<double> values(blobs.data.values().begin(),
+                             blobs.data.values().end());
+  values[7 * 3 + 1] = std::numeric_limits<double>::quiet_NaN();  // instance 7
+  CsrMatrix poisoned = ValueOrDie(CsrMatrix::Create(
+      blobs.data.rows(), blobs.data.cols(),
+      std::vector<int64_t>(blobs.data.row_ptr().begin(),
+                           blobs.data.row_ptr().end()),
+      std::vector<int32_t>(blobs.data.col_idx().begin(),
+                           blobs.data.col_idx().end()),
+      std::move(values)));
+  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.3));
+  p.data = &poisoned;
+  KernelComputer kc(p.data, p.kernel);
+  const BatchSmoSolver solver(SmallOptions());
+
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  auto whole = solver.Solve(p, kc, &exec, kDefaultStream, nullptr);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_TRUE(whole.status().IsInvalidArgument()) << whole.status().ToString();
+  EXPECT_NE(whole.status().message().find("instance 7"), std::string::npos)
+      << whole.status().message();
+
+  SimExecutor dev0(ExecutorModel::TeslaP100());
+  SimExecutor dev1(ExecutorModel::TeslaP100());
+  const dist::ClusterTopology topology = dist::ClusterTopology::SingleNode(2);
+  const auto ranges = dist::ContiguousShardRanges(p.n(), 2);
+  const std::vector<dist::Shard> shards = {
+      {&dev0, kDefaultStream, 0, ranges[0].first, ranges[0].second},
+      {&dev1, kDefaultStream, 1, ranges[1].first, ranges[1].second}};
+  auto sharded = solver.SolveSharded(p, kc, shards, &topology, nullptr, nullptr);
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_TRUE(sharded.status().IsInvalidArgument());
+  EXPECT_NE(sharded.status().message().find("instance 7"), std::string::npos)
+      << sharded.status().message();
+}
+
+TEST(BatchSmoSolverTest, OverflowingWarmStartFailsOnNonFiniteGradient) {
+  // Finite inputs whose optimality indicators overflow: seeds at a huge box
+  // bound, positives first, make the running f_i = sum_j alpha_j y_j K_ij
+  // overflow to infinity.
+  BinaryBlobs blobs = MakeBinaryBlobs(10, 2, 0.5, 92);
+  BinaryProblem p = MakeProblem(blobs, 1e308, Gaussian(0.01));
+  p.rows.clear();
+  p.y.clear();
+  for (int32_t parity : {0, 1}) {
+    for (int32_t r = parity; r < blobs.data.rows(); r += 2) {
+      p.rows.push_back(r);
+      p.y.push_back(blobs.y[static_cast<size_t>(r)]);
+    }
+  }
+  KernelComputer kc(p.data, p.kernel);
+  std::vector<double> seed(static_cast<size_t>(p.n()), 1e308);
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  auto sol = BatchSmoSolver(SmallOptions())
+                 .SolveWarm(p, kc, seed, &exec, kDefaultStream, nullptr);
+  ASSERT_FALSE(sol.ok());
+  EXPECT_TRUE(sol.status().IsInvalidArgument()) << sol.status().ToString();
+  EXPECT_NE(sol.status().message().find("non-finite optimality indicator"),
+            std::string::npos)
+      << sol.status().message();
 }
 
 }  // namespace

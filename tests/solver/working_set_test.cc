@@ -254,8 +254,8 @@ State MixedState(int n) {
 
 // The merged shard selection must equal the full-sort selection exactly —
 // same members, same order — for any shard partition, across consecutive
-// refreshes of an evolving state. This is the property the distributed
-// solver's byte-identity proof leans on (dist/dist_solver.h).
+// refreshes of an evolving state. This is the property the sharded solve's
+// byte-identity proof leans on (BatchSmoSolver::SolveSharded).
 TEST(WorkingSetDistributedRefreshTest, MatchesFullSortForAnyShardCount) {
   WorkingSetConfig cfg;
   cfg.ws_size = 16;
