@@ -25,7 +25,7 @@ bool DrawLoss(const fault::FaultPlan& plan, obs::MetricsRegistry* metrics,
 
 // Phase A: train one sharded pair across its shard group. Only the shard
 // setup and the per-shard data loads are specific to sharding; the pair then
-// runs through the same per-pair body (TrainGmpPair) as a whole pair, so the
+// runs through the same per-pair body (TrainPair) as a whole pair, so the
 // outcome — checkpoint, stats, retry/degrade behaviour — is byte-identical to
 // training the pair whole on one device.
 Result<PairTrainOutcome> TrainShardedPair(
@@ -73,7 +73,7 @@ Result<PairTrainOutcome> TrainShardedPair(
   }
 
   KernelComputer computer(&dataset.features(), options.kernel);
-  Result<PairTrainOutcome> outcome = TrainGmpPair(
+  Result<PairTrainOutcome> outcome = TrainPair(
       options, computer, sharded.pair, s, t, problem,
       PairPlacement::Sharded(shards, &topology, dist_stats), injector_factory);
   for (const dist::Shard& shard : shards) shard.executor->SynchronizeAll();
@@ -81,6 +81,76 @@ Result<PairTrainOutcome> TrainShardedPair(
 }
 
 }  // namespace
+
+Result<DeviceFanOut> TrainPairsOnDevices(
+    const Dataset& dataset, const MpTrainOptions& options, SimCluster* cluster,
+    const std::vector<std::vector<size_t>>& device_pairs,
+    const std::vector<double>& base_seconds,
+    const std::vector<size_t>& scheduled,
+    std::vector<std::pair<PairTrainOutcome, int>> trained_elsewhere,
+    const PairFaultInjectorFactory& injector_factory,
+    const PairWarmStartProvider& warm_start) {
+  // One thread per device: devices are independent simulators, so this is
+  // wall-clock parallelism only — simulated results are identical to
+  // running the devices one after another.
+  const int n_devices = cluster->num_devices();
+  using DeviceResult = Result<std::vector<PairTrainOutcome>>;
+  std::vector<DeviceResult> device_results(
+      static_cast<size_t>(n_devices),
+      DeviceResult(std::vector<PairTrainOutcome>{}));
+  const auto run_device = [&](int d) {
+    device_results[static_cast<size_t>(d)] = TrainPairsOnDevice(
+        dataset, options, cluster->device(d),
+        device_pairs[static_cast<size_t>(d)], injector_factory, warm_start);
+  };
+  if (n_devices == 1) {
+    run_device(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(n_devices));
+    for (int d = 0; d < n_devices; ++d) threads.emplace_back(run_device, d);
+    for (std::thread& th : threads) th.join();
+  }
+
+  // Propagate failures in device-index order for a deterministic error.
+  for (int d = 0; d < n_devices; ++d) {
+    if (!device_results[static_cast<size_t>(d)].ok()) {
+      return device_results[static_cast<size_t>(d)].status();
+    }
+  }
+
+  // Re-key outcomes by global pair index.
+  const size_t n_pairs = dataset.ClassPairs().size();
+  std::vector<PairTrainOutcome> by_pair(n_pairs);
+  std::vector<int> device_of(n_pairs, -1);
+  for (int d = 0; d < n_devices; ++d) {
+    for (PairTrainOutcome& outcome : *device_results[static_cast<size_t>(d)]) {
+      trained_elsewhere.emplace_back(std::move(outcome), d);
+    }
+  }
+  for (auto& [outcome, d] : trained_elsewhere) {
+    device_of[outcome.pair_index] = d;
+    by_pair[outcome.pair_index] = std::move(outcome);
+  }
+
+  DeviceFanOut out;
+  out.pairs_trained.assign(static_cast<size_t>(n_devices), 0);
+  for (size_t p : scheduled) {
+    if (device_of[p] < 0) {
+      return Status::Internal(
+          StrPrintf("pair %zu was scheduled on no device", p));
+    }
+    out.outcomes.push_back(std::move(by_pair[p]));
+    out.pair_device.push_back(device_of[p]);
+    ++out.pairs_trained[static_cast<size_t>(device_of[p])];
+  }
+  for (int d = 0; d < n_devices; ++d) {
+    out.elapsed.push_back(cluster->device(d)->NowSeconds() -
+                          base_seconds[static_cast<size_t>(d)]);
+    out.makespan = std::max(out.makespan, out.elapsed.back());
+  }
+  return out;
+}
 
 Status ClusterTrainOptions::Validate(int num_classes) const {
   GMP_RETURN_NOT_OK(train.Validate(num_classes));
@@ -352,83 +422,33 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
 
   // Phase A: sharded pairs, sequentially in pair order. Each solve spans
   // several devices, so these cannot overlap the per-device threads below;
-  // they run first and leave every participant synchronized.
+  // they run first and leave every participant synchronized. A sharded pair
+  // reports its coordinator as the training device.
   dist::DistStats dist_stats;
-  std::vector<PairTrainOutcome> sharded_outcomes;
-  sharded_outcomes.reserve(assignment.sharded_pairs.size());
+  std::vector<std::pair<PairTrainOutcome, int>> sharded_outcomes;
   for (const ShardedPair& sp : assignment.sharded_pairs) {
     GMP_ASSIGN_OR_RETURN(
         PairTrainOutcome outcome,
         TrainShardedPair(dataset, options_.train, topology, cluster, sp,
                          injector_factory, &dist_stats));
-    sharded_outcomes.push_back(std::move(outcome));
+    sharded_outcomes.emplace_back(std::move(outcome), sp.devices[0]);
   }
 
-  // Phase B — one thread per device: each device is an independent
-  // simulator, so this is wall-clock parallelism only — simulated results
-  // are identical to running the devices one after another.
-  using DeviceResult = Result<std::vector<PairTrainOutcome>>;
-  std::vector<DeviceResult> device_results(
-      static_cast<size_t>(n_devices), DeviceResult(std::vector<PairTrainOutcome>{}));
-  const auto run_device = [&](int d) {
-    device_results[static_cast<size_t>(d)] = TrainGmpPairSubset(
-        dataset, options_.train, cluster->device(d),
-        assignment.device_pairs[static_cast<size_t>(d)], injector_factory);
-  };
-  if (n_devices == 1) {
-    run_device(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n_devices));
-    for (int d = 0; d < n_devices; ++d) threads.emplace_back(run_device, d);
-    for (std::thread& th : threads) th.join();
-  }
-
-  // Propagate failures in device-index order for a deterministic error.
-  for (int d = 0; d < n_devices; ++d) {
-    if (!device_results[static_cast<size_t>(d)].ok()) {
-      return device_results[static_cast<size_t>(d)].status();
-    }
-  }
-
-  // Re-key outcomes by global pair index. Sharded pairs report their
-  // coordinator as the training device.
-  std::vector<PairTrainOutcome> by_pair(pairs.size());
-  std::vector<int> pair_device(pairs.size(), -1);
-  for (int d = 0; d < n_devices; ++d) {
-    for (PairTrainOutcome& outcome : *device_results[static_cast<size_t>(d)]) {
-      pair_device[outcome.pair_index] = d;
-      by_pair[outcome.pair_index] = std::move(outcome);
-    }
-  }
-  for (size_t i = 0; i < sharded_outcomes.size(); ++i) {
-    PairTrainOutcome& outcome = sharded_outcomes[i];
-    pair_device[outcome.pair_index] = assignment.sharded_pairs[i].devices[0];
-    by_pair[outcome.pair_index] = std::move(outcome);
-  }
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (pair_device[p] < 0) {
-      return Status::Internal(
-          StrPrintf("pair %zu was scheduled on no device", p));
-    }
-  }
+  // Phase B: the whole pairs, one thread per device.
+  GMP_ASSIGN_OR_RETURN(
+      DeviceFanOut run,
+      TrainPairsOnDevices(dataset, options_.train, cluster,
+                          assignment.device_pairs, base_seconds, all_pairs,
+                          std::move(sharded_outcomes), injector_factory));
 
   std::vector<PairCheckpoint> checkpoints;
   checkpoints.reserve(pairs.size());
-  for (const PairTrainOutcome& outcome : by_pair) {
+  for (const PairTrainOutcome& outcome : run.outcomes) {
     checkpoints.push_back(outcome.checkpoint);
   }
 
-  std::vector<double> elapsed(static_cast<size_t>(n_devices), 0.0);
-  double makespan = 0.0;
-  for (int d = 0; d < n_devices; ++d) {
-    elapsed[static_cast<size_t>(d)] = cluster->device(d)->NowSeconds() -
-                                      base_seconds[static_cast<size_t>(d)];
-    makespan = std::max(makespan, elapsed[static_cast<size_t>(d)]);
-  }
-
   if (report != nullptr) {
-    report->makespan_sim_seconds = makespan;
+    report->makespan_sim_seconds = run.makespan;
     report->wall_seconds = wall.ElapsedSeconds();
     report->pairs_rescheduled = pairs_rescheduled;
     report->devices_lost = devices_lost;
@@ -437,22 +457,15 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
     report->pairs_sharded = static_cast<int>(assignment.sharded_pairs.size());
     report->shards_rescheduled = shards_rescheduled;
     report->dist = dist_stats;
-    report->pair_device = std::move(pair_device);
+    report->pair_device = std::move(run.pair_device);
 
-    // Merge per-pair statistics in global ClassPairs() order — the same
-    // order (and sigmoid-before-solver sequence) the single-device trainer
-    // uses, so merged reports line up across device counts.
+    // Merge per-pair totals in global ClassPairs() order, so merged reports
+    // line up across device counts.
     MpTrainReport& merged = report->merged;
-    for (const PairTrainOutcome& outcome : by_pair) {
-      if (outcome.sigmoid_done) {
-        merged.phases.Add("sigmoid", outcome.sigmoid_seconds);
-      }
-      merged.solver.Merge(outcome.stats);
-      merged.phases.Merge(outcome.stats.phases);
-      merged.pair_retries += outcome.retries;
-      if (outcome.degraded) ++merged.pairs_degraded;
+    for (const PairTrainOutcome& outcome : run.outcomes) {
+      MergePairOutcome(outcome, /*per_attempt=*/false, &merged);
     }
-    merged.sim_seconds = makespan;
+    merged.sim_seconds = run.makespan;
     merged.wall_seconds = report->wall_seconds;
     for (int d = 0; d < n_devices; ++d) {
       const ExecutorCounters& counters = cluster->device(d)->counters();
@@ -469,15 +482,13 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
     for (int d = 0; d < n_devices; ++d) {
       DeviceUtilization& util = report->devices[static_cast<size_t>(d)];
       util.model_name = cluster->model(d).name;
-      util.pairs_trained = static_cast<int>(
-          assignment.device_pairs[static_cast<size_t>(d)].size());
+      util.pairs_trained = run.pairs_trained[static_cast<size_t>(d)];
       util.lost = lost[static_cast<size_t>(d)];
-      util.sim_seconds = elapsed[static_cast<size_t>(d)];
-      util.utilization = makespan > 0.0
-                             ? elapsed[static_cast<size_t>(d)] / makespan
-                             : 0.0;
+      util.sim_seconds = run.elapsed[static_cast<size_t>(d)];
+      util.utilization =
+          run.makespan > 0.0 ? util.sim_seconds / run.makespan : 0.0;
     }
-    report->pair_outcomes = std::move(by_pair);
+    report->pair_outcomes = std::move(run.outcomes);
   }
 
   return AssembleModelFromPairs(dataset, options_.train, checkpoints);

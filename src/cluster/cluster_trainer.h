@@ -5,10 +5,13 @@
 // Pairs the scheduler marked for intra-pair sharding train first (Phase A):
 // each runs once through BatchSmoSolver::SolveSharded across its shard group,
 // merges priced by the cluster's node topology, inside the same per-pair body
-// (TrainGmpPair) whole pairs use. The remaining whole pairs then
-// train through TrainGmpPairSubset (one std::thread per device — devices are
-// independent simulators, so this is pure wall-clock parallelism; Phase B).
-// Results are stitched back together in global ClassPairs() order with
+// (TrainPair) whole pairs use. The remaining whole pairs then train through
+// TrainPairsOnDevices (Phase B): one std::thread per device, each running the
+// one device pair loop, TrainPairsOnDevice — devices are independent
+// simulators, so this is pure wall-clock parallelism, and inside each device
+// the pair-parallel gate of MpTrainOptions::host_threads applies as on a
+// single device. WarmRetrain fans out through the same function. Results
+// are stitched back together in global ClassPairs() order with
 // AssembleModelFromPairs.
 //
 // Determinism contract (extends PR 4): the model, predicted probabilities,
@@ -91,6 +94,8 @@ struct ClusterTrainOptions {
 
 struct DeviceUtilization {
   std::string model_name;
+  // Pairs this device trained, a sharded pair counted on its coordinator —
+  // the entries of pair_device naming it.
   int pairs_trained = 0;
   bool lost = false;
   // Simulated seconds this device spent on its subset (its own clock).
@@ -138,6 +143,35 @@ struct ClusterTrainReport {
   // series (per-link byte counters labeled {link=intra_node|inter_node}).
   void PublishTo(obs::MetricsRegistry* registry) const;
 };
+
+// A multi-device pair run re-keyed by global pair index.
+struct DeviceFanOut {
+  // The scheduled pairs' outcomes and training devices (the coordinator,
+  // for a sharded pair), in the order of `scheduled`.
+  std::vector<PairTrainOutcome> outcomes;
+  std::vector<int> pair_device;
+  // Per device: the pairs pair_device names it for, and the simulated
+  // seconds since its base clock; makespan is the max of the latter.
+  std::vector<int> pairs_trained;
+  std::vector<double> elapsed;
+  double makespan = 0.0;
+};
+
+// Trains device_pairs[d] on cluster device d with TrainPairsOnDevice, one
+// std::thread per device, with the per-pair `injector_factory` and
+// `warm_start` (both optional; `warm_start` is called from every device
+// thread, so it must be thread-safe). `trained_elsewhere` adds pairs that
+// already trained (outcome, device) — the sharded pairs. Device errors
+// propagate in device order; a pair of `scheduled` with no outcome is
+// Internal. `base_seconds[d]` is device d's clock at the start of the run.
+Result<DeviceFanOut> TrainPairsOnDevices(
+    const Dataset& dataset, const MpTrainOptions& options, SimCluster* cluster,
+    const std::vector<std::vector<size_t>>& device_pairs,
+    const std::vector<double>& base_seconds,
+    const std::vector<size_t>& scheduled,
+    std::vector<std::pair<PairTrainOutcome, int>> trained_elsewhere = {},
+    const PairFaultInjectorFactory& injector_factory = nullptr,
+    const PairWarmStartProvider& warm_start = nullptr);
 
 class ClusterTrainer {
  public:

@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <system_error>
@@ -55,7 +56,10 @@ bool ParseInt64(std::string_view text, int64_t* out) {
 }
 
 bool ParseDouble(std::string_view text, double* out) {
-  return ParseWithFromChars(text, out);
+  double value = 0.0;
+  if (!ParseWithFromChars(text, &value) || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 std::string HumanSeconds(double seconds) {

@@ -24,7 +24,9 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 // number. Returns false (leaving *out untouched) otherwise — unlike
 // std::stol/std::stod these never throw on malformed or out-of-range input,
 // which is what the I/O layer needs to turn arbitrary bytes into an error
-// Status instead of a crash.
+// Status instead of a crash. ParseDouble also rejects the non-finite
+// spellings from_chars accepts (nan, inf, infinity): no number a file
+// format carries may be non-finite.
 bool ParseInt32(std::string_view text, int32_t* out);
 bool ParseInt64(std::string_view text, int64_t* out);
 bool ParseDouble(std::string_view text, double* out);

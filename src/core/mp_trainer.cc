@@ -17,7 +17,6 @@
 #include "common/thread_pool.h"
 #include "core/model_io.h"
 #include "core/shared_blocks.h"
-#include "core/sigmoid_cv.h"
 #include "device/fork_join.h"
 #include "fault/fault_injector.h"
 #include "prob/pairwise_coupling.h"
@@ -266,15 +265,15 @@ class CheckpointSession {
   int unflushed_ = 0;
 };
 
-// Runs `attempt` for pair (s, t) under the options' retry policy. Transient
-// (kUnavailable) failures are retried with exponential backoff charged as
-// simulated time to `stream`; exhaustion either propagates (kFailFast) or
-// yields a degraded neutral pair (kSkipDegraded). Any other error propagates
-// immediately.
+// Runs `attempt` for pair (s, t) under the options' retry policy, counting
+// retries in `retries`. Transient (kUnavailable) failures are retried with
+// exponential backoff charged as simulated time to `stream`; exhaustion
+// either propagates (kFailFast) or yields a degraded neutral pair
+// (kSkipDegraded). Any other error propagates immediately.
 Result<PairCheckpoint> RunPairWithRetry(
     const MpTrainOptions& options, SimExecutor* executor, StreamId stream,
     int s, int t, const std::function<Result<PairCheckpoint>()>& attempt,
-    MpTrainReport* report) {
+    int64_t* retries) {
   const fault::RetryPolicy& policy = options.pair_retry;
   for (int att = 1;; ++att) {
     Result<PairCheckpoint> result = attempt();
@@ -286,12 +285,11 @@ Result<PairCheckpoint> RunPairWithRetry(
             "pair %dv%d failed after %d attempts: %s", s, t, att,
             result.status().message().c_str()));
       }
-      if (report != nullptr) ++report->pairs_degraded;
       GMP_LOG(Warning) << "pair " << s << "v" << t << " degraded after " << att
                        << " attempts: " << result.status().message();
       return DegradedPair(s, t);
     }
-    if (report != nullptr) ++report->pair_retries;
+    ++*retries;
     const uint64_t seed =
         (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(t);
     executor->AdvanceStream(stream, fault::BackoffSeconds(policy, att, seed),
@@ -315,42 +313,6 @@ Status MaybeInterrupt(SimExecutor* executor, CheckpointSession* ckpt,
                 static_cast<long long>(completed_this_run)));
 }
 
-// Worker-thread count for pair-level training: the trainer option wins,
-// otherwise the executor model's host_threads applies.
-int ResolvePairThreads(const MpTrainOptions& options, const SimExecutor* executor) {
-  return options.host_threads > 0 ? options.host_threads
-                                  : executor->model().host_threads;
-}
-
-// Pool to run pair workers on: the executor's own host pool when its size
-// already matches, otherwise a trainer-owned pool parked in `owned`.
-ThreadPool* ResolvePairPool(SimExecutor* executor, int threads,
-                            std::unique_ptr<ThreadPool>* owned) {
-  ThreadPool* pool = executor->host_pool();
-  if (pool != nullptr && pool->num_threads() == threads) return pool;
-  *owned = std::make_unique<ThreadPool>(threads);
-  return owned->get();
-}
-
-// One pair's workload and results when pairs train on worker threads. The
-// satellite executor records every charge into `log`; replaying the logs in
-// pair order afterwards reproduces the serial run's timeline, counters and
-// span stream exactly.
-struct PairTask {
-  size_t pair_index = 0;
-  int s = 0;
-  int t = 0;
-  StreamId stream = kDefaultStream;
-  BinaryProblem problem;
-  ExecEventLog log;
-  std::optional<SimExecutor> satellite;
-  double base = 0.0;
-  std::optional<Result<PairCheckpoint>> outcome;
-  SolverStats stats;
-  double sigmoid_seconds = 0.0;
-  bool sigmoid_done = false;
-};
-
 void FillReport(SimExecutor* executor, double sim_base,
                 const ExecutorCounters& counters_base, const Stopwatch& wall,
                 MpTrainReport* report) {
@@ -364,51 +326,55 @@ void FillReport(SimExecutor* executor, double sim_base,
   report->peak_device_bytes = executor->counters().peak_bytes_in_use;
 }
 
-// The GMP path for one pair at `placement`: batched solver (sharded, through
-// the shared block cache, or direct), then concurrent sigmoid fitting on the
-// coordinator's stream (Section 3.3.2). Shared by GmpSvmTrainer::Train and
-// TrainGmpPair so the single-device and cluster paths run identical numeric
-// code.
-Result<PairCheckpoint> SolveGmpPairImpl(
-    const MpTrainOptions& options, const BatchSmoSolver& solver,
+// One attempt at pair (s, t) at `placement`: the binary solve, then the
+// sigmoid fit on the coordinator's stream (Section 3.3.2). A sharded
+// placement, the shared block cache and warm seeds solve with the batched
+// solver; otherwise `solve` runs, or the batched solver when it is null. CV
+// folds re-solve sub-problems whole with `solve` on the coordinator.
+Result<PairCheckpoint> SolvePairOnce(
+    const MpTrainOptions& options, const BinarySolveFn& solve,
     const KernelComputer& computer, const PairPlacement& placement, int s,
-    int t, const BinaryProblem& problem, SolverStats* stats,
-    double* sigmoid_seconds, bool* sigmoid_done,
-    std::span<const double> initial_alpha = {}) {
+    int t, const BinaryProblem& problem, std::span<const double> warm_alpha,
+    PairTrainOutcome::Attempt* attempt) {
   SimExecutor* const exec = placement.executor;
   const StreamId stream = placement.stream;
+  const BatchSmoSolver batch(options.batch);
+  const BinarySolveFn batch_solve =
+      [&batch](const BinaryProblem& p, const KernelComputer& kc, SimExecutor* e,
+               StreamId str, SolverStats* stats) {
+        return batch.Solve(p, kc, e, str, stats);
+      };
+  const BinarySolveFn& plain_solve = solve != nullptr ? solve : batch_solve;
+
   BinarySolution solution;
   const double smo_t0 = exec->StreamTime(stream);
   if (!placement.shards.empty()) {
     GMP_ASSIGN_OR_RETURN(
-        solution, solver.SolveSharded(problem, computer, placement.shards,
-                                      placement.topology, stats,
-                                      placement.dist_stats));
-  } else {
+        solution, batch.SolveSharded(problem, computer, placement.shards,
+                                     placement.topology, &attempt->stats,
+                                     placement.dist_stats));
+  } else if (placement.cache != nullptr || !warm_alpha.empty()) {
     std::optional<SharedRowSource> shared;
     if (placement.cache != nullptr) {
       shared.emplace(&problem, s, t, placement.cache, &computer);
     }
     GMP_ASSIGN_OR_RETURN(
         solution,
-        solver.SolveWarm(problem, computer, shared ? &*shared : nullptr,
-                         initial_alpha, exec, stream, stats));
+        batch.SolveWarm(problem, computer, shared ? &*shared : nullptr,
+                        warm_alpha, exec, stream, &attempt->stats));
+  } else {
+    GMP_ASSIGN_OR_RETURN(solution, plain_solve(problem, computer, exec, stream,
+                                               &attempt->stats));
   }
   RecordPhaseSpan(exec, stream, StrPrintf("smo %dv%d", s, t), smo_t0,
                   exec->StreamTime(stream));
 
-  // Concurrent sigmoid fitting on the pair's own stream, with parallel
-  // candidate evaluation (Section 3.3.2). CV folds re-solve sub-problems
-  // whole on the coordinator.
   std::vector<double> v;
   if (options.sigmoid_cv_folds >= 2) {
     GMP_ASSIGN_OR_RETURN(
-        v, CrossValidatedDecisionValues(
-               problem, computer,
-               [&](const BinaryProblem& sub, SimExecutor* e, StreamId str) {
-                 return solver.Solve(sub, computer, e, str, nullptr);
-               },
-               options.sigmoid_cv_folds, /*seed=*/1u, exec, stream));
+        v, CrossValidatedDecisionValues(problem, computer, plain_solve,
+                                        options.sigmoid_cv_folds,
+                                        /*seed=*/1u, exec, stream));
   } else {
     v = TrainingDecisionValues(problem, solution);
   }
@@ -419,8 +385,8 @@ Result<PairCheckpoint> SolveGmpPairImpl(
                  options.platt_parallel_candidates));
   RecordPhaseSpan(exec, stream, StrPrintf("sigmoid %dv%d", s, t), sigmoid_t0,
                   exec->StreamTime(stream));
-  *sigmoid_seconds = exec->StreamTime(stream) - sigmoid_t0;
-  *sigmoid_done = true;
+  attempt->sigmoid_seconds = exec->StreamTime(stream) - sigmoid_t0;
+  attempt->sigmoid_done = true;
   return DistillPair(s, t, problem, solution, sigmoid);
 }
 
@@ -462,6 +428,59 @@ std::vector<std::vector<size_t>> PackPairGroups(
   }
   if (!current.empty()) groups.push_back(std::move(current));
   return groups;
+}
+
+// Both single-device trainers: a checkpoint session around one device pair
+// loop, the report merged attempt by attempt in pair order, and the model
+// assembled in ClassPairs() order. `sequential_solve` as in
+// TrainPairsOnDevice.
+Result<MpSvmModel> TrainOnOneDevice(const Dataset& dataset,
+                                    const MpTrainOptions& options,
+                                    SimExecutor* executor,
+                                    const BinarySolveFn& sequential_solve,
+                                    MpTrainReport* report) {
+  GMP_RETURN_NOT_OK(options.Validate(dataset.num_classes()));
+  Stopwatch wall;
+  executor->SynchronizeAll();
+  const double sim_base = executor->NowSeconds();
+  const ExecutorCounters counters_base = executor->counters();
+
+  CheckpointSession ckpt;
+  GMP_RETURN_NOT_OK(ckpt.Init(options.checkpoint,
+                              TrainFingerprint(dataset, options),
+                              dataset.num_classes(), report));
+  const auto pairs = dataset.ClassPairs();
+  std::vector<PairCheckpoint> checkpoints(pairs.size());
+  std::vector<size_t> todo;  // indices into `pairs` that still need training
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const auto [s, t] = pairs[p];
+    if (const PairCheckpoint* loaded = ckpt.Loaded(s, t)) {
+      checkpoints[p] = *loaded;
+    } else {
+      todo.push_back(p);
+    }
+  }
+
+  int64_t completed_this_run = 0;
+  GMP_ASSIGN_OR_RETURN(
+      std::vector<PairTrainOutcome> outcomes,
+      TrainPairsOnDevice(
+          dataset, options, executor, todo, /*injector_factory=*/nullptr,
+          /*warm_start=*/nullptr,
+          [&](const PairTrainOutcome& outcome) -> Status {
+            if (report != nullptr) {
+              MergePairOutcome(outcome, /*per_attempt=*/true, report);
+            }
+            GMP_RETURN_NOT_OK(ckpt.OnPairComplete(outcome.checkpoint));
+            return MaybeInterrupt(executor, &ckpt, ++completed_this_run);
+          },
+          sequential_solve));
+  for (PairTrainOutcome& outcome : outcomes) {
+    checkpoints[outcome.pair_index] = std::move(outcome.checkpoint);
+  }
+  GMP_RETURN_NOT_OK(ckpt.Flush());
+  FillReport(executor, sim_base, counters_base, wall, report);
+  return AssembleModelFromPairs(dataset, options, checkpoints);
 }
 
 }  // namespace
@@ -575,357 +594,24 @@ void MpTrainReport::PublishTo(obs::MetricsRegistry* registry) const {
 Result<MpSvmModel> SequentialMpTrainer::Train(const Dataset& dataset,
                                               SimExecutor* executor,
                                               MpTrainReport* report) const {
-  GMP_RETURN_NOT_OK(options_.Validate(dataset.num_classes()));
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-  const ExecutorCounters counters_base = executor->counters();
-
-  // Ship the training data to the device once.
-  const double load_t0 = executor->StreamTime(kDefaultStream);
-  executor->Transfer(kDefaultStream, static_cast<double>(dataset.features().ByteSize()),
-                     TransferDirection::kHostToDevice);
-  RecordPhaseSpan(executor, kDefaultStream, "data_load", load_t0,
-                  executor->StreamTime(kDefaultStream));
-
-  KernelComputer computer(&dataset.features(), options_.kernel);
-  SmoSolver solver(options_.smo);
-  ModelBuilder builder(&dataset, options_);
-
-  CheckpointSession ckpt;
-  GMP_RETURN_NOT_OK(ckpt.Init(options_.checkpoint,
-                              TrainFingerprint(dataset, options_),
-                              dataset.num_classes(), report));
-
-  const auto pairs = dataset.ClassPairs();
-  std::vector<std::optional<PairCheckpoint>> results(pairs.size());
-  int64_t completed_this_run = 0;
-
-  // Everything one pair needs, against an arbitrary executor/stream so the
-  // serial path (main executor) and the pair-parallel path (per-pair
-  // satellite executors) run identical numeric code.
-  auto solve_pair = [&](SimExecutor* exec, StreamId stream, int s, int t,
-                        const BinaryProblem& problem, SolverStats* stats,
-                        double* sigmoid_seconds,
-                        bool* sigmoid_done) -> Result<PairCheckpoint> {
-    const double smo_t0 = exec->StreamTime(stream);
-    GMP_ASSIGN_OR_RETURN(
-        BinarySolution solution,
-        solver.Solve(problem, computer, exec, stream, stats));
-    RecordPhaseSpan(exec, stream, StrPrintf("smo %dv%d", s, t), smo_t0,
-                    exec->StreamTime(stream));
-
-    std::vector<double> v;
-    if (options_.sigmoid_cv_folds >= 2) {
-      SmoSolver cv_solver(options_.smo);
-      GMP_ASSIGN_OR_RETURN(
-          v, CrossValidatedDecisionValues(
-                 problem, computer,
-                 [&](const BinaryProblem& sub, SimExecutor* e, StreamId str) {
-                   return cv_solver.Solve(sub, computer, e, str, nullptr);
-                 },
-                 options_.sigmoid_cv_folds, /*seed=*/1u, exec, stream));
-    } else {
-      v = TrainingDecisionValues(problem, solution);
-    }
-    const double sigmoid_t0 = exec->StreamTime(stream);
-    GMP_ASSIGN_OR_RETURN(
-        SigmoidParams sigmoid,
-        FitSigmoid(v, problem.y, options_.platt, exec, stream,
-                   /*parallel_candidates=*/1));
-    RecordPhaseSpan(exec, stream, StrPrintf("sigmoid %dv%d", s, t), sigmoid_t0,
-                    exec->StreamTime(stream));
-    *sigmoid_seconds = exec->StreamTime(stream) - sigmoid_t0;
-    *sigmoid_done = true;
-    return DistillPair(s, t, problem, solution, sigmoid);
-  };
-
-  // Per-pair report contributions, in the exact order the serial loop applies
-  // them: the sigmoid phase (only when that stage ran), then the solver
-  // stats, then the solver's own phase attribution.
-  auto merge_pair_report = [&](const SolverStats& stats, double sigmoid_seconds,
-                               bool sigmoid_done) {
-    if (report == nullptr) return;
-    if (sigmoid_done) report->phases.Add("sigmoid", sigmoid_seconds);
-    report->solver.Merge(stats);
-    report->phases.Merge(stats.phases);
-  };
-
-  const int pair_threads = ResolvePairThreads(options_, executor);
-  // Chaos runs stay serial: fault and backoff decisions are consumed in pair
-  // order, so only the injector-free path is trivially thread-count
-  // invariant.
-  const bool pair_parallel =
-      pair_threads > 1 && executor->fault_injector() == nullptr;
-
-  if (pair_parallel) {
-    std::unique_ptr<ThreadPool> owned_pool;
-    ThreadPool* pool = ResolvePairPool(executor, pair_threads, &owned_pool);
-
-    std::vector<PairTask> tasks;
-    tasks.reserve(pairs.size());
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      const int s = pairs[p].first;
-      const int t = pairs[p].second;
-      if (const PairCheckpoint* loaded = ckpt.Loaded(s, t)) {
-        results[p] = *loaded;
-        continue;
-      }
-      PairTask task;
-      task.pair_index = p;
-      task.s = s;
-      task.t = t;
-      task.problem = MakeTrainPairProblem(dataset, options_, s, t);
-      tasks.push_back(std::move(task));
-    }
-    // Fork only once the vector is final: satellites hold &task.log.
-    for (PairTask& task : tasks) {
-      task.satellite.emplace(
-          ForkSatellite(executor, kDefaultStream, &task.log, pool));
-      task.base = task.satellite->StreamTime(kDefaultStream);
-    }
-    pool->ParallelFor(
-        static_cast<int64_t>(tasks.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            PairTask& task = tasks[static_cast<size_t>(i)];
-            task.outcome = solve_pair(&*task.satellite, kDefaultStream, task.s,
-                                      task.t, task.problem, &task.stats,
-                                      &task.sigmoid_seconds,
-                                      &task.sigmoid_done);
-          }
-        },
-        /*min_chunk=*/1);
-    // Replay in pair order. A failing pair returns after its own replay and
-    // report merge, exactly where the serial loop would have stopped; later
-    // pairs' events are discarded with their satellites.
-    for (PairTask& task : tasks) {
-      JoinSatellite(task.log, *task.satellite, task.base, executor,
-                    kDefaultStream);
-      merge_pair_report(task.stats, task.sigmoid_seconds, task.sigmoid_done);
-      if (!task.outcome->ok()) return task.outcome->status();
-      results[task.pair_index] = std::move(*task.outcome).value();
-      GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[task.pair_index]));
-      ++completed_this_run;
-    }
-  } else {
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      const int s = pairs[p].first;
-      const int t = pairs[p].second;
-      if (const PairCheckpoint* loaded = ckpt.Loaded(s, t)) {
-        results[p] = *loaded;
-        continue;
-      }
-      const BinaryProblem problem = MakeTrainPairProblem(dataset, options_, s, t);
-
-      auto attempt = [&]() -> Result<PairCheckpoint> {
-        SolverStats stats;
-        double sigmoid_seconds = 0.0;
-        bool sigmoid_done = false;
-        Result<PairCheckpoint> result =
-            solve_pair(executor, kDefaultStream, s, t, problem, &stats,
-                       &sigmoid_seconds, &sigmoid_done);
-        // Work done by failed attempts still counts.
-        merge_pair_report(stats, sigmoid_seconds, sigmoid_done);
-        return result;
-      };
-
-      GMP_ASSIGN_OR_RETURN(
-          PairCheckpoint pair,
-          RunPairWithRetry(options_, executor, kDefaultStream, s, t, attempt,
-                           report));
-      results[p] = std::move(pair);
-      GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[p]));
-      ++completed_this_run;
-      GMP_RETURN_NOT_OK(MaybeInterrupt(executor, &ckpt, completed_this_run));
-    }
-  }
-
-  GMP_RETURN_NOT_OK(ckpt.Flush());
-  // Feed the builder in ClassPairs() order regardless of which pairs were
-  // resumed: pool indices depend on insertion order.
-  for (auto& result : results) builder.AddEntry(*result);
-
-  executor->SynchronizeAll();
-  FillReport(executor, sim_base, counters_base, wall, report);
-  return builder.Finish();
+  // The baseline fits each sigmoid one backtracking candidate at a time.
+  MpTrainOptions options = options_;
+  options.platt_parallel_candidates = 1;
+  const SmoSolver solver(options.smo);
+  return TrainOnOneDevice(
+      dataset, options, executor,
+      [&solver](const BinaryProblem& problem, const KernelComputer& computer,
+                SimExecutor* exec, StreamId stream, SolverStats* stats) {
+        return solver.Solve(problem, computer, exec, stream, stats);
+      },
+      report);
 }
 
 Result<MpSvmModel> GmpSvmTrainer::Train(const Dataset& dataset,
                                         SimExecutor* executor,
                                         MpTrainReport* report) const {
-  GMP_RETURN_NOT_OK(options_.Validate(dataset.num_classes()));
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-  const ExecutorCounters counters_base = executor->counters();
-
-  const double load_t0 = executor->StreamTime(kDefaultStream);
-  executor->Transfer(kDefaultStream, static_cast<double>(dataset.features().ByteSize()),
-                     TransferDirection::kHostToDevice);
-  RecordPhaseSpan(executor, kDefaultStream, "data_load", load_t0,
-                  executor->StreamTime(kDefaultStream));
-
-  KernelComputer computer(&dataset.features(), options_.kernel);
-  BatchSmoSolver solver(options_.batch);
-  ModelBuilder builder(&dataset, options_);
-
-  // Shared block cache lives across the whole run so later pairs reuse
-  // earlier pairs' class segments.
-  std::unique_ptr<SharedBlockCache> cache;
-  if (options_.share_kernel_blocks) {
-    cache = std::make_unique<SharedBlockCache>(&dataset, &computer,
-                                               options_.shared_cache_bytes, executor);
-  }
-
-  CheckpointSession ckpt;
-  GMP_RETURN_NOT_OK(ckpt.Init(options_.checkpoint,
-                              TrainFingerprint(dataset, options_),
-                              dataset.num_classes(), report));
-
-  const auto pairs = dataset.ClassPairs();
-  std::vector<std::optional<PairCheckpoint>> results(pairs.size());
-  std::vector<size_t> todo;  // indices into `pairs` that still need training
-  todo.reserve(pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (const PairCheckpoint* loaded = ckpt.Loaded(pairs[p].first, pairs[p].second)) {
-      results[p] = *loaded;
-    } else {
-      todo.push_back(p);
-    }
-  }
-
-  // Greedily pack the remaining pairs into concurrent groups under the
-  // memory budget (each pair needs its kernel buffer on the device).
-  const std::vector<std::vector<size_t>> groups =
-      PackPairGroups(dataset, options_, *executor, todo, pairs);
-  int64_t completed_this_run = 0;
-
-  // Everything one pair needs, against an arbitrary executor/stream so the
-  // serial path (main executor) and the pair-parallel path (per-pair
-  // satellite executors) run identical numeric code. The cache branch only
-  // runs serially: pair parallelism requires share_kernel_blocks off.
-  auto solve_pair = [&](SimExecutor* exec, StreamId stream, int s, int t,
-                        const BinaryProblem& problem, SolverStats* stats,
-                        double* sigmoid_seconds,
-                        bool* sigmoid_done) -> Result<PairCheckpoint> {
-    return SolveGmpPairImpl(options_, solver, computer,
-                            PairPlacement::Whole(exec, stream, cache.get()), s,
-                            t, problem, stats, sigmoid_seconds, sigmoid_done);
-  };
-
-  auto merge_pair_report = [&](const SolverStats& stats, double sigmoid_seconds,
-                               bool sigmoid_done) {
-    if (report == nullptr) return;
-    if (sigmoid_done) report->phases.Add("sigmoid", sigmoid_seconds);
-    report->solver.Merge(stats);
-    report->phases.Merge(stats.phases);
-  };
-
-  const int pair_threads = ResolvePairThreads(options_, executor);
-  // Serial fallbacks: chaos runs consume fault/backoff decisions in pair
-  // order, and the shared block cache's hit/miss accounting depends on the
-  // order pairs touch it — both stay on the serial path so every output is
-  // thread-count invariant.
-  const bool pair_parallel = pair_threads > 1 &&
-                             executor->fault_injector() == nullptr &&
-                             cache == nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool =
-      pair_parallel ? ResolvePairPool(executor, pair_threads, &owned_pool)
-                    : nullptr;
-
-  for (const auto& group : groups) {
-    // One stream per pair in the group, each owning an equal share of SMs
-    // (the paper caps SMs per binary SVM to enable concurrency).
-    const double share = 1.0 / static_cast<double>(group.size());
-    std::vector<StreamId> streams;
-    streams.reserve(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      streams.push_back(executor->CreateStream(share));
-    }
-
-    if (pair_parallel) {
-      std::vector<PairTask> tasks(group.size());
-      for (size_t gi = 0; gi < group.size(); ++gi) {
-        PairTask& task = tasks[gi];
-        task.pair_index = group[gi];
-        task.s = pairs[task.pair_index].first;
-        task.t = pairs[task.pair_index].second;
-        task.stream = streams[gi];
-        task.problem =
-            MakeTrainPairProblem(dataset, options_, task.s, task.t);
-      }
-      // Each satellite mirrors its pair's own stream; nothing else touches
-      // that stream before the join, so replayed spans land exactly.
-      for (PairTask& task : tasks) {
-        task.satellite.emplace(
-            ForkSatellite(executor, task.stream, &task.log, pool));
-        task.base = task.satellite->StreamTime(kDefaultStream);
-      }
-      pool->ParallelFor(
-          static_cast<int64_t>(tasks.size()),
-          [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-              PairTask& task = tasks[static_cast<size_t>(i)];
-              task.outcome = solve_pair(&*task.satellite, kDefaultStream,
-                                        task.s, task.t, task.problem,
-                                        &task.stats, &task.sigmoid_seconds,
-                                        &task.sigmoid_done);
-            }
-          },
-          /*min_chunk=*/1);
-      for (PairTask& task : tasks) {
-        JoinSatellite(task.log, *task.satellite, task.base, executor,
-                      task.stream);
-        merge_pair_report(task.stats, task.sigmoid_seconds, task.sigmoid_done);
-        if (!task.outcome->ok()) return task.outcome->status();
-        results[task.pair_index] = std::move(*task.outcome).value();
-        GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[task.pair_index]));
-        ++completed_this_run;
-      }
-    } else {
-      for (size_t gi = 0; gi < group.size(); ++gi) {
-        const size_t pair_index = group[gi];
-        const int s = pairs[pair_index].first;
-        const int t = pairs[pair_index].second;
-        const StreamId stream = streams[gi];
-        const BinaryProblem problem =
-            MakeTrainPairProblem(dataset, options_, s, t);
-
-        auto attempt = [&]() -> Result<PairCheckpoint> {
-          SolverStats stats;
-          double sigmoid_seconds = 0.0;
-          bool sigmoid_done = false;
-          Result<PairCheckpoint> result =
-              solve_pair(executor, stream, s, t, problem, &stats,
-                         &sigmoid_seconds, &sigmoid_done);
-          // Work done by failed attempts still counts.
-          merge_pair_report(stats, sigmoid_seconds, sigmoid_done);
-          return result;
-        };
-
-        GMP_ASSIGN_OR_RETURN(
-            PairCheckpoint pair,
-            RunPairWithRetry(options_, executor, stream, s, t, attempt, report));
-        results[pair_index] = std::move(pair);
-        GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[pair_index]));
-        ++completed_this_run;
-        GMP_RETURN_NOT_OK(MaybeInterrupt(executor, &ckpt, completed_this_run));
-      }
-    }
-    // Barrier between groups: buffers are reclaimed before the next group.
-    executor->SynchronizeAll();
-  }
-
-  GMP_RETURN_NOT_OK(ckpt.Flush());
-  // Pool indices depend on insertion order: feed the builder in ClassPairs()
-  // order regardless of which pairs were resumed from the checkpoint.
-  for (auto& result : results) builder.AddEntry(*result);
-
-  executor->SynchronizeAll();
-  FillReport(executor, sim_base, counters_base, wall, report);
-  return builder.Finish();
+  return TrainOnOneDevice(dataset, options_, executor,
+                          /*sequential_solve=*/nullptr, report);
 }
 
 PairFaultInjectorFactory MakePairFaultInjectorFactory(
@@ -951,12 +637,31 @@ BinaryProblem MakeTrainPairProblem(const Dataset& dataset,
   return problem;
 }
 
-Result<PairTrainOutcome> TrainGmpPair(
+void MergePairOutcome(const PairTrainOutcome& outcome, bool per_attempt,
+                      MpTrainReport* report) {
+  auto merge = [report](const SolverStats& stats, double sigmoid_seconds,
+                        bool sigmoid_done) {
+    if (sigmoid_done) report->phases.Add("sigmoid", sigmoid_seconds);
+    report->solver.Merge(stats);
+    report->phases.Merge(stats.phases);
+  };
+  if (per_attempt) {
+    for (const PairTrainOutcome::Attempt& attempt : outcome.attempts) {
+      merge(attempt.stats, attempt.sigmoid_seconds, attempt.sigmoid_done);
+    }
+  } else {
+    merge(outcome.stats, outcome.sigmoid_seconds, outcome.sigmoid_done);
+  }
+  report->pair_retries += outcome.retries;
+  if (outcome.degraded) ++report->pairs_degraded;
+}
+
+Result<PairTrainOutcome> TrainPair(
     const MpTrainOptions& options, const KernelComputer& computer,
     size_t pair_index, int s, int t, const BinaryProblem& problem,
     const PairPlacement& placement,
     const PairFaultInjectorFactory& injector_factory,
-    std::span<const double> warm_alpha) {
+    std::span<const double> warm_alpha, const BinarySolveFn& solve) {
   SimExecutor* const executor = placement.executor;
   fault::FaultInjector* const base_injector = executor->fault_injector();
   std::unique_ptr<fault::FaultInjector> pair_injector;
@@ -965,38 +670,35 @@ Result<PairTrainOutcome> TrainGmpPair(
     executor->SetFaultInjector(pair_injector.get());
   }
 
-  const BatchSmoSolver solver(options.batch);
   PairTrainOutcome outcome;
   outcome.pair_index = pair_index;
-  MpTrainReport pair_report;
   auto attempt = [&]() -> Result<PairCheckpoint> {
-    SolverStats stats;
-    double sigmoid_seconds = 0.0;
-    bool sigmoid_done = false;
-    Result<PairCheckpoint> result = SolveGmpPairImpl(
-        options, solver, computer, placement, s, t, problem, &stats,
-        &sigmoid_seconds, &sigmoid_done, warm_alpha);
+    PairTrainOutcome::Attempt& record = outcome.attempts.emplace_back();
+    Result<PairCheckpoint> result =
+        SolvePairOnce(options, solve, computer, placement, s, t, problem,
+                      warm_alpha, &record);
     // Work done by failed attempts still counts toward the pair.
-    outcome.stats.Merge(stats);
-    outcome.sigmoid_seconds += sigmoid_seconds;
-    outcome.sigmoid_done = outcome.sigmoid_done || sigmoid_done;
+    outcome.stats.Merge(record.stats);
+    outcome.sigmoid_seconds += record.sigmoid_seconds;
+    outcome.sigmoid_done = outcome.sigmoid_done || record.sigmoid_done;
     return result;
   };
   Result<PairCheckpoint> pair = RunPairWithRetry(
-      options, executor, placement.stream, s, t, attempt, &pair_report);
+      options, executor, placement.stream, s, t, attempt, &outcome.retries);
   if (injector_factory != nullptr) executor->SetFaultInjector(base_injector);
   if (!pair.ok()) return pair.status();
   outcome.checkpoint = std::move(pair).value();
-  outcome.retries = pair_report.pair_retries;
   outcome.degraded = outcome.checkpoint.degraded;
   return outcome;
 }
 
-Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
+Result<std::vector<PairTrainOutcome>> TrainPairsOnDevice(
     const Dataset& dataset, const MpTrainOptions& options,
     SimExecutor* executor, const std::vector<size_t>& pair_indices,
     const PairFaultInjectorFactory& injector_factory,
-    const PairWarmStartProvider& warm_start) {
+    const PairWarmStartProvider& warm_start,
+    const PairCompleteCallback& on_pair_complete,
+    const BinarySolveFn& sequential_solve) {
   GMP_RETURN_NOT_OK(options.Validate(dataset.num_classes()));
   const auto pairs = dataset.ClassPairs();
   for (size_t p : pair_indices) {
@@ -1018,41 +720,68 @@ Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
                   executor->StreamTime(kDefaultStream));
 
   KernelComputer computer(&dataset.features(), options.kernel);
-  // Per-device shared block cache: pairs co-located on this device reuse each
-  // other's class segments; there is no cross-device sharing.
+  const bool sequential = sequential_solve != nullptr;
+  // Per-executor shared block cache: later pairs reuse earlier pairs' class
+  // segments; there is no cross-device sharing.
   std::unique_ptr<SharedBlockCache> cache;
-  if (options.share_kernel_blocks) {
+  if (options.share_kernel_blocks && !sequential) {
     cache = std::make_unique<SharedBlockCache>(
         &dataset, &computer, options.shared_cache_bytes, executor);
   }
+  std::vector<std::vector<size_t>> groups;
+  if (!sequential) {
+    groups = PackPairGroups(dataset, options, *executor, pair_indices, pairs);
+  } else if (!pair_indices.empty()) {
+    groups.push_back(pair_indices);
+  }
 
-  const std::vector<std::vector<size_t>> groups =
-      PackPairGroups(dataset, options, *executor, pair_indices, pairs);
+  // The pair-parallel gate. Per-pair injectors and the executor's own
+  // injector consume fault decisions in pair order, and the shared block
+  // cache's hit/miss accounting depends on the order pairs touch it, so all
+  // three keep the loop serial; every output is thread-count invariant.
+  std::unique_ptr<ThreadPool> owned_pool;
+  ThreadPool* const pool =
+      injector_factory == nullptr && cache == nullptr
+          ? ResolveForkJoinPool(executor, options.host_threads, &owned_pool)
+          : nullptr;
 
   std::vector<PairTrainOutcome> outcomes;
   outcomes.reserve(pair_indices.size());
-  for (const auto& group : groups) {
-    const double share = 1.0 / static_cast<double>(group.size());
-    std::vector<StreamId> streams;
-    streams.reserve(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      streams.push_back(executor->CreateStream(share));
+  for (const std::vector<size_t>& group : groups) {
+    // One stream per pair in the group, each owning an equal share of SMs
+    // (the paper caps SMs per binary SVM to enable concurrency); the
+    // sequential baseline trains every pair on the default stream.
+    std::vector<StreamId> streams(group.size(), kDefaultStream);
+    if (!sequential) {
+      const double share = 1.0 / static_cast<double>(group.size());
+      for (StreamId& stream : streams) stream = executor->CreateStream(share);
     }
-    for (size_t gi = 0; gi < group.size(); ++gi) {
-      const size_t pair_index = group[gi];
-      const int s = pairs[pair_index].first;
-      const int t = pairs[pair_index].second;
-      const BinaryProblem problem = MakeTrainPairProblem(dataset, options, s, t);
-      const std::vector<double> warm_alpha =
-          warm_start != nullptr ? warm_start(pair_index, problem)
-                                : std::vector<double>{};
-      GMP_ASSIGN_OR_RETURN(
-          PairTrainOutcome outcome,
-          TrainGmpPair(options, computer, pair_index, s, t, problem,
-                       PairPlacement::Whole(executor, streams[gi], cache.get()),
-                       injector_factory, warm_alpha));
-      outcomes.push_back(std::move(outcome));
+    std::vector<BinaryProblem> problems;
+    std::vector<std::vector<double>> warm_alphas;
+    for (size_t pair_index : group) {
+      const auto [s, t] = pairs[pair_index];
+      problems.push_back(MakeTrainPairProblem(dataset, options, s, t));
+      warm_alphas.push_back(warm_start != nullptr
+                                ? warm_start(pair_index, problems.back())
+                                : std::vector<double>{});
     }
+    std::vector<PairTrainOutcome> trained(group.size());
+    GMP_RETURN_NOT_OK(RunForkJoin(
+        executor, streams, pool,
+        [&](size_t gi, SimExecutor* exec, StreamId stream) -> Status {
+          const auto [s, t] = pairs[group[gi]];
+          GMP_ASSIGN_OR_RETURN(
+              trained[gi],
+              TrainPair(options, computer, group[gi], s, t, problems[gi],
+                        PairPlacement::Whole(exec, stream, cache.get()),
+                        injector_factory, warm_alphas[gi], sequential_solve));
+          return Status::OK();
+        },
+        [&](size_t gi) -> Status {
+          outcomes.push_back(std::move(trained[gi]));
+          return on_pair_complete != nullptr ? on_pair_complete(outcomes.back())
+                                             : Status::OK();
+        }));
     // Barrier between groups: buffers are reclaimed before the next group.
     executor->SynchronizeAll();
   }

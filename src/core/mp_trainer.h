@@ -28,6 +28,7 @@
 #include "core/dataset.h"
 #include "core/model.h"
 #include "core/model_io.h"
+#include "core/sigmoid_cv.h"
 #include "device/executor.h"
 #include "dist/shard.h"
 #include "fault/fault_injector.h"
@@ -126,12 +127,14 @@ struct MpTrainOptions {
   // Real worker threads for pair-level training (wall-clock only; models,
   // reports, counters, and traces are byte-identical for every value — see
   // docs/performance.md). 0 inherits the executor model's host_threads; 1
-  // forces today's serial orchestration. Pair-level parallelism engages only
-  // when no fault injector is attached (chaos runs stay serial so fault/RNG
-  // streams remain per-pair) and, for GmpSvmTrainer, only with
-  // share_kernel_blocks disabled (shared-cache hit/miss accounting is
-  // schedule-dependent); the data-parallel kernel ops still apply in those
-  // cases.
+  // forces serial orchestration. One gate decides, in every device pair loop
+  // (single-device trainers and each ClusterTrainer / WarmRetrain device
+  // alike): pairs run in parallel only with no fault injector on the
+  // executor, no per-pair injector factory (chaos runs stay serial so
+  // fault/RNG streams remain per-pair) and no shared block cache (its
+  // hit/miss accounting is schedule-dependent, so GmpSvmTrainer needs
+  // share_kernel_blocks off). The data-parallel kernel ops still apply in
+  // those cases.
   int host_threads = 0;
 
   // Checks the whole configuration, including the nested batch-solver
@@ -175,29 +178,53 @@ struct MpTrainReport {
   void PublishTo(obs::MetricsRegistry* registry) const;
 };
 
-// --- Multi-device building blocks (used by src/cluster) ----------------------
+// --- The pair engine ---------------------------------------------------------
 //
-// Cluster training splits the k(k-1)/2 pairwise problems across devices:
-// each device trains its assigned subset with TrainGmpPairSubset, then the
-// per-pair results are stitched back together — in global ClassPairs() order,
-// because support-vector pool indices depend on insertion order — with
-// AssembleModelFromPairs. Pair solutions are schedule-invariant (the kernel
-// math is exact), so the assembled model is byte-identical to a single-device
-// GmpSvmTrainer run whatever the assignment.
+// Every trainer of the k(k-1)/2 pairwise problems runs the same loop:
+// TrainPairsOnDevice trains a subset of ClassPairs() on one executor, each
+// pair through the one per-pair body TrainPair. GmpSvmTrainer and
+// SequentialMpTrainer run it once over every pair; ClusterTrainer and
+// WarmRetrain run it once per device, one thread per device (see
+// cluster/cluster_trainer.h). The per-pair results are stitched back
+// together — in global ClassPairs() order, because support-vector pool
+// indices depend on insertion order — with AssembleModelFromPairs. Pair
+// solutions are schedule-invariant (the kernel math is exact), so the
+// assembled model is byte-identical to a single-device GmpSvmTrainer run
+// whatever the assignment.
 
-// One trained pair plus the statistics a multi-device caller merges in global
-// ClassPairs() order. The sim-time fields (stats.phases, sigmoid_seconds)
-// depend on the stream shares of the run that produced them; the counter
-// fields (iterations, kernel rows, retries) are schedule-invariant.
+// One trained pair plus the statistics its caller merges in global
+// ClassPairs() order (MergePairOutcome). The sim-time fields (stats.phases,
+// sigmoid_seconds) depend on the stream shares of the run that produced
+// them; the counter fields (iterations, kernel rows, retries) are
+// schedule-invariant.
 struct PairTrainOutcome {
+  // One attempt's work. Failed attempts of a retried pair count too.
+  struct Attempt {
+    SolverStats stats;
+    double sigmoid_seconds = 0.0;
+    bool sigmoid_done = false;
+  };
+
   size_t pair_index = 0;
   PairCheckpoint checkpoint;
+  // Totals over `attempts`.
   SolverStats stats;
   double sigmoid_seconds = 0.0;
   bool sigmoid_done = false;
   int64_t retries = 0;
   bool degraded = false;
+  std::vector<Attempt> attempts;
 };
+
+// Adds one pair's statistics to `report`, in the order every report has
+// always summed them: the sigmoid phase (when that stage ran), then the
+// solver stats, then the solver's phase attribution, plus the pair's retries
+// and degradation. `per_attempt` merges attempt by attempt, as the
+// single-device trainers do; otherwise the pair's totals are merged at once,
+// as the multi-device reports do. The two sums can differ in the last bit
+// when a pair retried.
+void MergePairOutcome(const PairTrainOutcome& outcome, bool per_attempt,
+                      MpTrainReport* report);
 
 // Optional per-pair fault-injector factory for chaos cluster runs: deriving
 // one injector per pair (seeded from the pair index) keeps fault sequences
@@ -269,29 +296,45 @@ struct PairPlacement {
 // to the coordinator, solves and fits the sigmoid under the options' retry
 // policy, then restores the coordinator's previous injector. Work done by
 // failed attempts still counts toward the outcome. `warm_alpha` seeds a whole
-// placement's solve; empty solves cold. This is the one per-pair body of
-// TrainGmpPairSubset and the cluster trainer's sharded pairs, which is what
-// keeps a pair's outcome placement-invariant.
-Result<PairTrainOutcome> TrainGmpPair(
+// placement's solve; empty solves cold. `solve` is the binary solver of a
+// whole placement without cache or warm seeds, and of the sigmoid's CV folds;
+// null is the batched solver, which a sharded placement, the shared block
+// cache and warm seeds always use. This is the one per-pair body of every
+// trainer, which is what keeps a pair's outcome placement-invariant.
+Result<PairTrainOutcome> TrainPair(
     const MpTrainOptions& options, const KernelComputer& computer,
     size_t pair_index, int s, int t, const BinaryProblem& problem,
     const PairPlacement& placement,
     const PairFaultInjectorFactory& injector_factory,
-    std::span<const double> warm_alpha = {});
+    std::span<const double> warm_alpha = {},
+    const BinarySolveFn& solve = nullptr);
+
+// Called on the loop's thread after each pair completes, in pair order; a
+// non-OK status stops the loop and is returned.
+using PairCompleteCallback = std::function<Status(const PairTrainOutcome&)>;
 
 // Trains the subset of dataset.ClassPairs() named by `pair_indices` on one
-// executor with the GMP-SVM machinery: groups packed under the memory budget,
-// one SM-capped stream per pair in a group, an optional per-executor shared
-// block cache, and the per-pair retry policy. Pair orchestration is serial
-// (devices parallelize across executors; op bodies still use the executor's
-// host pool). `options.checkpoint` is ignored — cluster checkpointing is a
-// documented non-goal. Fails fast on the first pair whose error is not
-// recoverable under the options' failure policy.
-Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
+// executor — the one pair loop of every trainer. It loads the data onto the
+// device, then, by default, runs GMP-SVM's layout: groups packed under the
+// memory budget, one SM-capped stream per pair in a group, and a shared
+// block cache when options.share_kernel_blocks. With `sequential_solve` set
+// it runs the sequential baseline instead: every pair on kDefaultStream,
+// one group, no cache, solved by that callable. Pairs of a group run on
+// worker threads under the options' host_threads gate (see MpTrainOptions),
+// byte-identically to a serial run. Each pair runs through TrainPair with
+// its injector from `injector_factory` and its seeds from `warm_start` (both
+// optional; `warm_start` is called on the loop's thread), and
+// `on_pair_complete` (optional) sees each outcome in order.
+// `options.checkpoint` is ignored — checkpointing is the caller's session.
+// Fails fast on the first pair whose error is not recoverable under the
+// options' failure policy. Returns the outcomes in training order.
+Result<std::vector<PairTrainOutcome>> TrainPairsOnDevice(
     const Dataset& dataset, const MpTrainOptions& options,
     SimExecutor* executor, const std::vector<size_t>& pair_indices,
     const PairFaultInjectorFactory& injector_factory = nullptr,
-    const PairWarmStartProvider& warm_start = nullptr);
+    const PairWarmStartProvider& warm_start = nullptr,
+    const PairCompleteCallback& on_pair_complete = nullptr,
+    const BinarySolveFn& sequential_solve = nullptr);
 
 // Assembles the final model from per-pair checkpoints given in ClassPairs()
 // order. Rejects a vector whose size or pair labels do not match the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 
 #include "common/thread_pool.h"
@@ -48,35 +47,44 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
     return problem;
   };
 
-  // One class's solver + sigmoid work, against an arbitrary executor so the
-  // serial path (main executor) and the class-parallel path (satellite
-  // executors) run identical numeric code.
-  auto solve_class = [&](SimExecutor* exec, const BinaryProblem& problem,
-                         SolverStats* stats, BinarySolution* solution,
-                         SigmoidParams* sigmoid) -> Status {
+  // Per-class results, written by each class's task and consumed by its
+  // join in class order.
+  const size_t k = static_cast<size_t>(dataset.num_classes());
+  std::vector<BinaryProblem> problems(k);
+  std::vector<SolverStats> stats(k);
+  std::vector<BinarySolution> solutions(k);
+  std::vector<SigmoidParams> sigmoids(k);
+  for (size_t cls = 0; cls < k; ++cls) {
+    problems[cls] = make_problem(static_cast<int>(cls));
+  }
+
+  // One class's solver + sigmoid work, on the main executor or a satellite.
+  auto solve_class = [&](size_t cls, SimExecutor* exec, StreamId) -> Status {
+    const BinaryProblem& problem = problems[cls];
     GMP_ASSIGN_OR_RETURN(
-        *solution,
-        solver.Solve(problem, computer, exec, kDefaultStream, stats));
-    std::vector<double> v(solution->f.size());
+        solutions[cls],
+        solver.Solve(problem, computer, exec, kDefaultStream, &stats[cls]));
+    const BinarySolution& solution = solutions[cls];
+    std::vector<double> v(solution.f.size());
     for (size_t i = 0; i < v.size(); ++i) {
-      v[i] = solution->f[i] + static_cast<double>(problem.y[i]) + solution->bias;
+      v[i] = solution.f[i] + static_cast<double>(problem.y[i]) + solution.bias;
     }
     GMP_ASSIGN_OR_RETURN(
-        *sigmoid,
+        sigmoids[cls],
         FitSigmoid(v, problem.y, options_.platt, exec, kDefaultStream,
                    options_.platt_parallel_candidates));
     return Status::OK();
   };
 
   // Builds the class's model entry; pool indices depend on insertion order,
-  // so entries must be added in class order on one thread.
-  auto add_entry = [&](int cls, const BinaryProblem& problem,
-                       const BinarySolution& solution,
-                       const SigmoidParams& sigmoid) {
+  // so entries are added in class order on the caller's thread.
+  auto add_class = [&](size_t cls) -> Status {
+    const BinaryProblem& problem = problems[cls];
+    const BinarySolution& solution = solutions[cls];
     OvaClassEntry entry;
-    entry.cls = cls;
+    entry.cls = static_cast<int>(cls);
     entry.bias = solution.bias;
-    entry.sigmoid = sigmoid;
+    entry.sigmoid = sigmoids[cls];
     for (int64_t i = 0; i < problem.n(); ++i) {
       const double a = solution.alpha[static_cast<size_t>(i)];
       if (a <= 0.0) continue;
@@ -88,80 +96,18 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
       entry.sv_coef.push_back(a * problem.y[static_cast<size_t>(i)]);
     }
     model.classes.push_back(std::move(entry));
+    if (report != nullptr) {
+      report->solver.Merge(stats[cls]);
+      report->phases.Merge(stats[cls].phases);
+    }
+    return Status::OK();
   };
 
-  const int class_threads = options_.host_threads > 0
-                                ? options_.host_threads
-                                : executor->model().host_threads;
-  // Chaos runs stay serial so fault decisions are consumed in class order.
-  const bool class_parallel =
-      class_threads > 1 && executor->fault_injector() == nullptr;
-
-  if (class_parallel) {
-    ThreadPool* pool = executor->host_pool();
-    std::unique_ptr<ThreadPool> owned_pool;
-    if (pool == nullptr || pool->num_threads() != class_threads) {
-      owned_pool = std::make_unique<ThreadPool>(class_threads);
-      pool = owned_pool.get();
-    }
-
-    struct ClassTask {
-      BinaryProblem problem;
-      ExecEventLog log;
-      std::optional<SimExecutor> satellite;
-      double base = 0.0;
-      Status status;
-      SolverStats stats;
-      BinarySolution solution;
-      SigmoidParams sigmoid;
-    };
-    std::vector<ClassTask> tasks(static_cast<size_t>(dataset.num_classes()));
-    for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-      ClassTask& task = tasks[static_cast<size_t>(cls)];
-      task.problem = make_problem(cls);
-      task.satellite.emplace(
-          ForkSatellite(executor, kDefaultStream, &task.log, pool));
-      task.base = task.satellite->StreamTime(kDefaultStream);
-    }
-    pool->ParallelFor(
-        static_cast<int64_t>(tasks.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            ClassTask& task = tasks[static_cast<size_t>(i)];
-            task.status = solve_class(&*task.satellite, task.problem,
-                                      &task.stats, &task.solution,
-                                      &task.sigmoid);
-          }
-        },
-        /*min_chunk=*/1);
-    // Replay in class order; a failing class returns after its own replay,
-    // exactly where the serial loop would have stopped.
-    for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-      ClassTask& task = tasks[static_cast<size_t>(cls)];
-      JoinSatellite(task.log, *task.satellite, task.base, executor,
-                    kDefaultStream);
-      GMP_RETURN_NOT_OK(task.status);
-      add_entry(cls, task.problem, task.solution, task.sigmoid);
-      if (report != nullptr) {
-        report->solver.Merge(task.stats);
-        report->phases.Merge(task.stats.phases);
-      }
-    }
-  } else {
-    for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-      BinaryProblem problem = make_problem(cls);
-      SolverStats stats;
-      BinarySolution solution;
-      SigmoidParams sigmoid;
-      GMP_RETURN_NOT_OK(
-          solve_class(executor, problem, &stats, &solution, &sigmoid));
-      add_entry(cls, problem, solution, sigmoid);
-      if (report != nullptr) {
-        report->solver.Merge(stats);
-        report->phases.Merge(stats.phases);
-      }
-    }
-  }
+  std::unique_ptr<ThreadPool> owned_pool;
+  GMP_RETURN_NOT_OK(RunForkJoin(
+      executor, std::vector<StreamId>(k, kDefaultStream),
+      ResolveForkJoinPool(executor, options_.host_threads, &owned_pool),
+      solve_class, add_class));
   model.support_vectors = dataset.features().SelectRows(model.pool_source_rows);
 
   executor->SynchronizeAll();

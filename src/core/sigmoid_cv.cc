@@ -66,7 +66,8 @@ Result<std::vector<double>> CrossValidatedDecisionValues(
       continue;
     }
 
-    GMP_ASSIGN_OR_RETURN(BinarySolution solution, solve(sub, executor, stream));
+    GMP_ASSIGN_OR_RETURN(BinarySolution solution,
+                         solve(sub, computer, executor, stream, nullptr));
 
     // Decision values of the held-out instances against the sub-model's SVs.
     std::vector<int32_t> sv_globals;

@@ -18,13 +18,17 @@
 #include "common/status.h"
 #include "device/executor.h"
 #include "kernel/kernel_computer.h"
+#include "solver/solver_stats.h"
 #include "solver/svm_problem.h"
 
 namespace gmpsvm {
 
-// Trains one binary SVM for a (sub-)problem.
+// Trains one binary SVM for a (sub-)problem whose kernel rows come from
+// `computer`, charging `stream`; `stats` may be null. The signature of
+// SmoSolver::Solve and BatchSmoSolver::Solve, so a trainer passes either.
 using BinarySolveFn = std::function<Result<BinarySolution>(
-    const BinaryProblem& problem, SimExecutor* executor, StreamId stream)>;
+    const BinaryProblem& problem, const KernelComputer& computer,
+    SimExecutor* executor, StreamId stream, SolverStats* stats)>;
 
 // Returns per-instance decision values where v[i] was produced by a model
 // that did NOT train on instance i (stratified `folds`-fold CV inside the

@@ -1,6 +1,7 @@
 #include "device/fork_join.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -65,6 +66,54 @@ void JoinSatellite(const ExecEventLog& log, const SimExecutor& satellite,
   counters.allocation_failures += sat.allocation_failures;
   counters.peak_bytes_in_use =
       std::max(counters.peak_bytes_in_use, sat.peak_bytes_in_use);
+}
+
+ThreadPool* ResolveForkJoinPool(SimExecutor* executor, int host_threads,
+                                std::unique_ptr<ThreadPool>* owned) {
+  const int threads =
+      host_threads > 0 ? host_threads : executor->model().host_threads;
+  if (threads <= 1 || executor->fault_injector() != nullptr) return nullptr;
+  ThreadPool* pool = executor->host_pool();
+  if (pool != nullptr && pool->num_threads() == threads) return pool;
+  *owned = std::make_unique<ThreadPool>(threads);
+  return owned->get();
+}
+
+Status RunForkJoin(SimExecutor* executor, std::span<const StreamId> streams,
+                   ThreadPool* pool, const ForkJoinTask& task,
+                   const std::function<Status(size_t index)>& join) {
+  const size_t n = streams.size();
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      GMP_RETURN_NOT_OK(task(i, executor, streams[i]));
+      GMP_RETURN_NOT_OK(join(i));
+    }
+    return Status::OK();
+  }
+  // Satellites hold &logs[i], so both vectors are sized once, up front.
+  std::vector<ExecEventLog> logs(n);
+  std::vector<std::optional<SimExecutor>> satellites(n);
+  std::vector<double> bases(n, 0.0);
+  std::vector<Status> statuses(n);
+  for (size_t i = 0; i < n; ++i) {
+    satellites[i].emplace(ForkSatellite(executor, streams[i], &logs[i], pool));
+    bases[i] = satellites[i]->StreamTime(kDefaultStream);
+  }
+  pool->ParallelFor(
+      static_cast<int64_t>(n),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          const size_t k = static_cast<size_t>(i);
+          statuses[k] = task(k, &*satellites[k], kDefaultStream);
+        }
+      },
+      /*min_chunk=*/1);
+  for (size_t i = 0; i < n; ++i) {
+    JoinSatellite(logs[i], *satellites[i], bases[i], executor, streams[i]);
+    GMP_RETURN_NOT_OK(statuses[i]);
+    GMP_RETURN_NOT_OK(join(i));
+  }
+  return Status::OK();
 }
 
 }  // namespace gmpsvm

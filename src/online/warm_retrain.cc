@@ -1,10 +1,10 @@
 #include "online/warm_retrain.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <thread>
 #include <unordered_map>
 
+#include "cluster/cluster_trainer.h"
 #include "common/string_util.h"
 
 namespace gmpsvm::online {
@@ -95,122 +95,74 @@ Result<MpSvmModel> WarmRetrain(const Dataset& dataset,
 
   const std::vector<size_t> retrain_indices =
       AffectedPairIndices(dataset, affected_classes, previous);
-
-  int64_t warm_seeded_rows = 0;
-
-  // Same per-pair injector seeding as the cluster trainer, so a pair's fault
-  // sequence never depends on the device assignment.
-  const PairFaultInjectorFactory injector_factory =
-      MakePairFaultInjectorFactory(options.fault, options.fault_metrics);
-
-  const int n_devices = cluster->num_devices();
   const cluster::PairAssignment assignment = cluster::SchedulePairs(
       dataset, retrain_indices, cluster->speeds(), {}, options.schedule);
-
-  std::vector<double> base_seconds(static_cast<size_t>(n_devices), 0.0);
-  for (int d = 0; d < n_devices; ++d) {
-    SimExecutor* dev = cluster->device(d);
-    dev->SynchronizeAll();
-    base_seconds[static_cast<size_t>(d)] = dev->NowSeconds();
+  std::vector<double> base_seconds;
+  for (int d = 0; d < cluster->num_devices(); ++d) {
+    cluster->device(d)->SynchronizeAll();
+    base_seconds.push_back(cluster->device(d)->NowSeconds());
   }
 
-  // One thread per device — wall-clock parallelism only, each device is an
-  // independent simulator (same contract as ClusterTrainer). Each device
-  // gets its own warm provider so the seeded-row counter never races;
-  // totals are aggregated after the join.
-  using DeviceResult = Result<std::vector<PairTrainOutcome>>;
-  std::vector<DeviceResult> device_results(
-      static_cast<size_t>(n_devices),
-      DeviceResult(std::vector<PairTrainOutcome>{}));
-  std::vector<int64_t> device_seeded(static_cast<size_t>(n_devices), 0);
-  const auto run_device = [&](int d) {
-    // Warm seeds: the previous pair's alphas keyed by global row. sv_coef
-    // stores alpha * y with alpha >= 0, so |sv_coef| recovers alpha
-    // regardless of which side the row sat on — which also makes relabeled
-    // rows legal seeds (SolveWarm clamps into the box and repairs the
-    // equality constraint).
-    int64_t local_seeded = 0;
-    PairWarmStartProvider local_provider =
-        [&previous, &local_seeded](size_t pair_index,
-                                   const BinaryProblem& problem) {
-          const PairCheckpoint& prev = previous[pair_index];
-          if (prev.degraded || prev.sv_rows.empty()) {
-            return std::vector<double>{};
+  // Warm seeds: the previous pair's alphas keyed by global row. sv_coef
+  // stores alpha * y with alpha >= 0, so |sv_coef| recovers alpha regardless
+  // of which side the row sat on — which also makes relabeled rows legal
+  // seeds (SolveWarm clamps into the box and repairs the equality
+  // constraint). Device threads share the provider, hence the atomic count.
+  std::atomic<int64_t> warm_seeded_rows{0};
+  const PairWarmStartProvider warm_start =
+      [&previous, &warm_seeded_rows](size_t pair_index,
+                                     const BinaryProblem& problem) {
+        const PairCheckpoint& prev = previous[pair_index];
+        if (prev.degraded || prev.sv_rows.empty()) {
+          return std::vector<double>{};
+        }
+        std::unordered_map<int32_t, double> alpha_by_row;
+        alpha_by_row.reserve(prev.sv_rows.size());
+        for (size_t m = 0; m < prev.sv_rows.size(); ++m) {
+          alpha_by_row.emplace(prev.sv_rows[m], std::fabs(prev.sv_coef[m]));
+        }
+        std::vector<double> seed(static_cast<size_t>(problem.n()), 0.0);
+        for (size_t i = 0; i < seed.size(); ++i) {
+          const auto it = alpha_by_row.find(problem.rows[i]);
+          if (it != alpha_by_row.end()) {
+            seed[i] = it->second;
+            ++warm_seeded_rows;
           }
-          std::unordered_map<int32_t, double> alpha_by_row;
-          alpha_by_row.reserve(prev.sv_rows.size());
-          for (size_t m = 0; m < prev.sv_rows.size(); ++m) {
-            alpha_by_row.emplace(prev.sv_rows[m], std::fabs(prev.sv_coef[m]));
-          }
-          std::vector<double> seed(static_cast<size_t>(problem.n()), 0.0);
-          for (size_t i = 0; i < seed.size(); ++i) {
-            const auto it = alpha_by_row.find(problem.rows[i]);
-            if (it != alpha_by_row.end()) {
-              seed[i] = it->second;
-              ++local_seeded;
-            }
-          }
-          return seed;
-        };
-    device_results[static_cast<size_t>(d)] = TrainGmpPairSubset(
-        dataset, options.train, cluster->device(d),
-        assignment.device_pairs[static_cast<size_t>(d)], injector_factory,
-        local_provider);
-    device_seeded[static_cast<size_t>(d)] = local_seeded;
-  };
-  if (n_devices == 1) {
-    run_device(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n_devices));
-    for (int d = 0; d < n_devices; ++d) threads.emplace_back(run_device, d);
-    for (std::thread& th : threads) th.join();
-  }
+        }
+        return seed;
+      };
 
-  for (int d = 0; d < n_devices; ++d) {
-    if (!device_results[static_cast<size_t>(d)].ok()) {
-      return device_results[static_cast<size_t>(d)].status();
-    }
-    warm_seeded_rows += device_seeded[static_cast<size_t>(d)];
-  }
+  // Same per-pair injector seeding and device fan-out as the cluster
+  // trainer, so neither the fault sequence nor the result of a pair depends
+  // on the device assignment.
+  GMP_ASSIGN_OR_RETURN(
+      cluster::DeviceFanOut run,
+      cluster::TrainPairsOnDevices(
+          dataset, options.train, cluster, assignment.device_pairs,
+          base_seconds, retrain_indices, /*trained_elsewhere=*/{},
+          MakePairFaultInjectorFactory(options.fault, options.fault_metrics),
+          warm_start));
 
   // Stitch: retrained outcomes replace their slots, everything else carries
   // the previous checkpoint verbatim (byte identity by construction).
   std::vector<PairCheckpoint> checkpoints(previous);
-  std::vector<PairTrainOutcome> retrained(pairs.size());
-  std::vector<bool> have_outcome(pairs.size(), false);
-  for (int d = 0; d < n_devices; ++d) {
-    for (PairTrainOutcome& outcome : *device_results[static_cast<size_t>(d)]) {
-      const size_t p = outcome.pair_index;
-      checkpoints[p] = outcome.checkpoint;
-      have_outcome[p] = true;
-      retrained[p] = std::move(outcome);
-    }
-  }
-  for (size_t p : retrain_indices) {
-    if (!have_outcome[p]) {
-      return Status::Internal(
-          StrPrintf("retrained pair %zu was scheduled on no device", p));
-    }
+  for (const PairTrainOutcome& outcome : run.outcomes) {
+    checkpoints[outcome.pair_index] = outcome.checkpoint;
   }
 
   if (report != nullptr) {
+    MpTrainReport merged;
+    for (const PairTrainOutcome& outcome : run.outcomes) {
+      MergePairOutcome(outcome, /*per_attempt=*/false, &merged);
+    }
     report->pairs_retrained = static_cast<int64_t>(retrain_indices.size());
     report->pairs_carried =
         static_cast<int64_t>(pairs.size() - retrain_indices.size());
+    report->pair_retries += merged.pair_retries;
+    report->pairs_degraded += merged.pairs_degraded;
     report->warm_seeded_rows = warm_seeded_rows;
-    double makespan = 0.0;
-    for (int d = 0; d < n_devices; ++d) {
-      makespan = std::max(makespan, cluster->device(d)->NowSeconds() -
-                                        base_seconds[static_cast<size_t>(d)]);
-    }
-    report->makespan_sim_seconds = makespan;
-    report->retrained.clear();
-    for (size_t p : retrain_indices) {
-      report->pair_retries += retrained[p].retries;
-      if (retrained[p].degraded) ++report->pairs_degraded;
-      report->retrained.push_back(std::move(retrained[p]));
-    }
+    report->makespan_sim_seconds = run.makespan;
+    report->retrained = std::move(run.outcomes);
   }
 
   return AssembleModelFromPairs(dataset, options.train, checkpoints);

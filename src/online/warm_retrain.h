@@ -9,9 +9,12 @@
 // pattern — and carries every untouched PairCheckpoint into the assembled
 // model byte for byte.
 //
-// Retrained pairs are sharded across the cluster with the same LPT scheduler
-// and per-pair fault-injector seeding the cluster trainer uses, so the
-// result is byte-identical at any device count, with or without chaos.
+// Retrained pairs are sharded across the cluster with the same LPT scheduler,
+// per-pair fault-injector seeding and device fan-out
+// (cluster::TrainPairsOnDevices — one thread per device, each running the
+// one device pair loop, TrainPairsOnDevice, with its pair-parallel gate) the
+// cluster trainer uses, so the result is byte-identical at any device count
+// and host thread count, with or without chaos.
 
 #ifndef GMPSVM_ONLINE_WARM_RETRAIN_H_
 #define GMPSVM_ONLINE_WARM_RETRAIN_H_

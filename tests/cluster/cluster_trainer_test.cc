@@ -1,12 +1,14 @@
 // ClusterTrainer: the sharded trainer must produce the exact single-device
 // model at every device count, report a makespan that shrinks as devices are
-// added, survive device loss by rescheduling orphaned pairs, and reject the
-// single-device-only options up front.
+// added, survive device loss by rescheduling orphaned pairs, count every pair
+// (sharded ones on their coordinator) on the device that trained it, and
+// reject the single-device-only options up front.
 
 #include "cluster/cluster_trainer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,30 @@ TEST(ClusterTrainerTest, DeviceLossReschedulesOrphansWithoutChangingModel) {
   EXPECT_GT(report.pairs_rescheduled, 0);
   int pairs_total = 0;
   for (const DeviceUtilization& u : report.devices) pairs_total += u.pairs_trained;
+  EXPECT_EQ(pairs_total, 6);
+}
+
+TEST(ClusterTrainerTest, PairsTrainedCountsShardedPairsOnTheirCoordinator) {
+  Dataset data = SmallProxy();
+  SimCluster cluster = SimCluster::Homogeneous(4, ExecutorModel::TeslaP100());
+  ClusterTrainOptions options;
+  options.train = BaseOptions();
+  options.train.share_kernel_blocks = false;
+  options.schedule.max_shards_per_pair = 2;
+  options.schedule.shard_oversize_factor = 0.0;  // force sharding
+  ClusterTrainReport report;
+  ValueOrDie(ClusterTrainer(options).Train(data, &cluster, &report));
+
+  ASSERT_GT(report.pairs_sharded, 0);
+  ASSERT_EQ(report.pair_device.size(), 6u);
+  int pairs_total = 0;
+  for (int d = 0; d < static_cast<int>(report.devices.size()); ++d) {
+    const auto named =
+        std::count(report.pair_device.begin(), report.pair_device.end(), d);
+    const int trained = report.devices[static_cast<size_t>(d)].pairs_trained;
+    EXPECT_EQ(trained, named) << "device " << d;
+    pairs_total += trained;
+  }
   EXPECT_EQ(pairs_total, 6);
 }
 

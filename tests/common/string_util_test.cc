@@ -44,6 +44,25 @@ TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("abc", ""));
 }
 
+TEST(ParseDoubleTest, ParsesWholeFiniteTokens) {
+  double v = 0.0;
+  EXPECT_TRUE(ParseDouble("-2.5e-3", &v));
+  EXPECT_EQ(v, -2.5e-3);
+  EXPECT_FALSE(ParseDouble("1.5x", &v));
+  EXPECT_FALSE(ParseDouble("", &v));
+  EXPECT_FALSE(ParseDouble("1e999", &v));
+  EXPECT_EQ(v, -2.5e-3);  // untouched on failure
+}
+
+TEST(ParseDoubleTest, RejectsNonFiniteSpellings) {
+  for (const char* token : {"nan", "-nan", "NaN", "inf", "-inf", "infinity",
+                            "-Infinity"}) {
+    double v = 7.0;
+    EXPECT_FALSE(ParseDouble(token, &v)) << token;
+    EXPECT_EQ(v, 7.0) << token;
+  }
+}
+
 TEST(HumanSecondsTest, UnitSelection) {
   EXPECT_EQ(HumanSeconds(0.0000005), "0.5 us");
   EXPECT_EQ(HumanSeconds(0.25), "250 ms");

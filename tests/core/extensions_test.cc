@@ -378,8 +378,9 @@ TEST(SigmoidCvTest, RejectsBadFoldCount) {
   KernelComputer kc(&data.features(), kernel);
   BinaryProblem p = data.MakePairProblem(0, 1, 1.0, kernel);
   SimExecutor exec = Gpu();
-  auto solve = [&](const BinaryProblem& sub, SimExecutor* e, StreamId s) {
-    return SmoSolver(SmoOptions{}).Solve(sub, kc, e, s, nullptr);
+  auto solve = [](const BinaryProblem& sub, const KernelComputer& computer,
+                  SimExecutor* e, StreamId s, SolverStats* stats) {
+    return SmoSolver(SmoOptions{}).Solve(sub, computer, e, s, stats);
   };
   EXPECT_FALSE(CrossValidatedDecisionValues(p, kc, solve, 1, 1, &exec,
                                             kDefaultStream)

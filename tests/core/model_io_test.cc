@@ -162,6 +162,22 @@ TEST(ModelIoTest, MalformedInputsReturnErrorsNeverCrash) {
       {"missing pool row", "gmpsvm_model_v1\nnum_classes 2\nc 1\n"
                            "kernel gaussian 0.5 0 3\npool 2 5\nsvms 0\n"
                            "pool_rows 0 1\n0:1.0\n"},
+      // Non-finite numbers: from_chars spells them, the loader must not.
+      {"nan sv coef", "gmpsvm_model_v1\nnum_classes 2\nc 1\n"
+                      "kernel gaussian 0.5 0 3\npool 1 5\nsvms 1\n"
+                      "svm 0 1 0.0 1.0 0.0 1\n0:nan\npool_rows 0\n0:1\n"},
+      {"inf sv coef", "gmpsvm_model_v1\nnum_classes 2\nc 1\n"
+                      "kernel gaussian 0.5 0 3\npool 1 5\nsvms 1\n"
+                      "svm 0 1 0.0 1.0 0.0 1\n0:-inf\npool_rows 0\n0:1\n"},
+      {"inf pool value", "gmpsvm_model_v1\nnum_classes 2\nc 1\n"
+                         "kernel gaussian 0.5 0 3\npool 1 5\nsvms 0\n"
+                         "pool_rows 0\n0:inf\n"},
+      {"nan pool value", "gmpsvm_model_v1\nnum_classes 2\nc 1\n"
+                         "kernel gaussian 0.5 0 3\npool 1 5\nsvms 0\n"
+                         "pool_rows 0\n1:nan\n"},
+      {"infinity pool value", "gmpsvm_model_v1\nnum_classes 2\nc 1\n"
+                              "kernel gaussian 0.5 0 3\npool 1 5\nsvms 0\n"
+                              "pool_rows 0\n2:infinity\n"},
       {"binary junk", std::string("gmpsvm_model_v1\n\x01\x02\xff\xfe\x00junk",
                                   25)},
       {"valid with junk magic suffix", "x" + valid},

@@ -1,16 +1,19 @@
 // Fork-join accounting: a satellite executor's recorded event log, replayed
 // onto the main executor, must reproduce a direct serial run bit for bit —
-// stream timeline, counters, and the span stream.
+// stream timeline, counters, and the span stream — and RunForkJoin must stop
+// where a serial run would.
 
 #include "device/fork_join.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "device/executor.h"
+#include "fault/fault_injector.h"
 #include "obs/span.h"
 
 namespace gmpsvm {
@@ -186,6 +189,64 @@ TEST(SubmitParallelForTest, ThreadCountDoesNotChangeOutputOrSimTime) {
   ASSERT_EQ(serial_out.size(), mt_out.size());
   EXPECT_EQ(0, std::memcmp(serial_out.data(), mt_out.data(),
                            serial_out.size() * sizeof(double)));
+}
+
+// Runs four tasks through RunForkJoin, one per fresh stream; task 2 fails
+// after charging its workload. Returns the run's status and the joins seen.
+Status RunFourTasks(SimExecutor* exec, ThreadPool* pool,
+                    std::vector<size_t>* joined) {
+  std::vector<StreamId> streams;
+  for (int i = 0; i < 4; ++i) streams.push_back(exec->CreateStream(0.25));
+  return RunForkJoin(
+      exec, streams, pool,
+      [](size_t i, SimExecutor* e, StreamId stream) -> Status {
+        ChargeWorkload(e, stream);
+        return i == 2 ? Status::Internal("task 2") : Status::OK();
+      },
+      [joined](size_t i) {
+        joined->push_back(i);
+        return Status::OK();
+      });
+}
+
+TEST(RunForkJoinTest, PooledRunMatchesSerialAndStopsAtFirstError) {
+  obs::TraceRecorder serial_trace, pooled_trace;
+  SimExecutor serial(ExecutorModel::TeslaP100());
+  serial.SetSpanRecorder(&serial_trace);
+  std::vector<size_t> serial_joined;
+  const Status serial_status = RunFourTasks(&serial, nullptr, &serial_joined);
+
+  ThreadPool pool(3);
+  SimExecutor pooled(ExecutorModel::TeslaP100());
+  pooled.SetSpanRecorder(&pooled_trace);
+  std::vector<size_t> pooled_joined;
+  const Status pooled_status = RunFourTasks(&pooled, &pool, &pooled_joined);
+
+  // Both stop at task 2: its events are kept, task 3's are discarded.
+  EXPECT_EQ(serial_status.message(), "task 2");
+  EXPECT_EQ(pooled_status.message(), "task 2");
+  EXPECT_EQ(serial_joined, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(pooled_joined, serial_joined);
+  EXPECT_EQ(pooled.StreamTime(3), serial.StreamTime(3));
+  EXPECT_EQ(pooled.StreamTime(4), 0.0);
+  EXPECT_EQ(pooled.NowSeconds(), serial.NowSeconds());
+  ExpectSameCounters(pooled.counters(), serial.counters());
+  ExpectSameSpans(pooled_trace, serial_trace);
+}
+
+TEST(RunForkJoinTest, ResolvesNoPoolForOneThreadOrAFaultInjector) {
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  std::unique_ptr<ThreadPool> owned;
+  EXPECT_EQ(ResolveForkJoinPool(&exec, 1, &owned), nullptr);
+  EXPECT_EQ(ResolveForkJoinPool(&exec, 0, &owned), nullptr);  // model: 1
+  ThreadPool* pool = ResolveForkJoinPool(&exec, 3, &owned);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool, owned.get());
+  EXPECT_EQ(pool->num_threads(), 3);
+
+  fault::FaultInjector injector(fault::FaultPlan{});
+  exec.SetFaultInjector(&injector);
+  EXPECT_EQ(ResolveForkJoinPool(&exec, 3, &owned), nullptr);
 }
 
 TEST(SubmitParallelForTest, BorrowedPoolRunsBodies) {

@@ -111,6 +111,12 @@ TEST(PairCheckpointTest, HostileInputsAreInvalidArgument) {
       "0\nsvs 1\n-5:0.5\n",  // negative row
       "gmpsvm_pair_checkpoint_v1\npair 0 1\nbias x\nsigmoid 0 0\ndegraded "
       "0\nsvs 0\n",  // non-numeric
+      "gmpsvm_pair_checkpoint_v1\npair 0 1\nbias 0\nsigmoid 0 0\ndegraded "
+      "0\nsvs 1\n5:nan\n",  // non-finite coefficients
+      "gmpsvm_pair_checkpoint_v1\npair 0 1\nbias 0\nsigmoid 0 0\ndegraded "
+      "0\nsvs 2\n5:0.5 6:inf\n",
+      "gmpsvm_pair_checkpoint_v1\npair 0 1\nbias 0\nsigmoid 0 0\ndegraded "
+      "0\nsvs 1\n5:-infinity\n",
   };
   for (const auto& text : hostile) {
     auto result = ParsePairCheckpoint(text);

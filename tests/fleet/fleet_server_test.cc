@@ -423,5 +423,19 @@ TEST(FleetConfigTest, RejectsBadPredictKeysWithLineNumber) {
             std::string::npos);
 }
 
+TEST(FleetConfigTest, RejectsNonFiniteNumbersWithLineNumber) {
+  // An unlimited quota is rate <= 0; no number field accepts nan or inf.
+  for (const char* field : {"rate=nan", "burst=inf", "weight=-inf",
+                            "cascade_threshold=infinity"}) {
+    auto config = ParseFleetConfig(std::string("replicas 1\ntenant t "
+                                               "model=a.model ") +
+                                   field + "\n");
+    ASSERT_FALSE(config.ok()) << field;
+    EXPECT_TRUE(config.status().IsInvalidArgument()) << field;
+    EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+        << field << ": " << config.status().message();
+  }
+}
+
 }  // namespace
 }  // namespace gmpsvm::fleet

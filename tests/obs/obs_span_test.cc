@@ -150,9 +150,11 @@ TEST(TraceRecorderTest, LaneWidthWrapsStreamsIntoBand) {
 }
 
 // Regression guard for deleted public names: the ExecutionTrace shim (the
-// docs describe SetSpanRecorder / TraceRecorder only) and the separate
-// distributed solver, folded into BatchSmoSolver::SolveSharded. The docs
-// must never name the old headers or classes.
+// docs describe SetSpanRecorder / TraceRecorder only), the separate
+// distributed solver, folded into BatchSmoSolver::SolveSharded, and the GMP
+// pair loop and body, folded into TrainPairsOnDevice and TrainPair (the
+// prefix also covers TrainGmpPairSubset). The docs must never name the old
+// headers, classes or functions.
 TEST(TraceShimRemovalTest, DocsDoNotMentionTheDeletedShim) {
   for (const char* rel : {"docs/api.md", "docs/observability.md",
                           "docs/cost_model.md", "docs/scaling.md",
@@ -164,7 +166,8 @@ TEST(TraceShimRemovalTest, DocsDoNotMentionTheDeletedShim) {
     buffer << in.rdbuf();
     const std::string text = buffer.str();
     for (const char* stale : {"ExecutionTrace", "device/trace.h",
-                              "DistSmoSolver", "dist/dist_solver.h"}) {
+                              "DistSmoSolver", "dist/dist_solver.h",
+                              "TrainGmpPair"}) {
       EXPECT_EQ(text.find(stale), std::string::npos) << rel << ": " << stale;
     }
   }

@@ -167,6 +167,12 @@ TEST(DeltaParseTest, HostileInputsAreInvalidArgument) {
       "relabel 0 2 2\n",  // old == new
       "gmpsvm_delta_v1\nbase_fingerprint 1\nnum_classes 3\nops 2\n"
       "relabel 0 0 1\n",  // fewer ops than declared
+      "gmpsvm_delta_v1\nbase_fingerprint 1\nnum_classes 3\nops 1\n"
+      "add 1 1 0:nan\n",  // non-finite feature values
+      "gmpsvm_delta_v1\nbase_fingerprint 1\nnum_classes 3\nops 1\n"
+      "add 1 2 0:1.0 3:inf\n",
+      "gmpsvm_delta_v1\nbase_fingerprint 1\nnum_classes 3\nops 1\n"
+      "add 1 1 0:-infinity\n",
       std::string("gmpsvm_delta_v1\n\x01\xff\x00junk", 22),
   };
   for (const auto& text : hostile) {
