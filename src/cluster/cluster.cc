@@ -51,9 +51,10 @@ std::vector<double> SimCluster::speeds() const {
   return out;
 }
 
-void SimCluster::SetSpanRecorder(obs::SpanRecorder* recorder, int lane_band) {
+void SimCluster::SetSpanRecorder(obs::SpanRecorder* recorder) {
+  constexpr int kBand = SimExecutor::kLaneBand;
   for (int d = 0; d < num_devices(); ++d) {
-    device(d)->SetSpanRecorder(recorder, d * lane_band, lane_band);
+    device(d)->SetSpanRecorder(recorder, d * kBand, kBand);
   }
 }
 

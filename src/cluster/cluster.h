@@ -30,9 +30,6 @@
 
 namespace gmpsvm::cluster {
 
-// Trace lanes reserved per device in a merged recording.
-inline constexpr int kClusterLaneBand = 16;
-
 class SimCluster {
  public:
   // One device per model; heterogeneous clusters are allowed (e.g. a P100
@@ -77,10 +74,10 @@ class SimCluster {
   double speed(int d) const;
   std::vector<double> speeds() const;
 
-  // Attaches `recorder` to every device with a lane band per device, or
-  // detaches (nullptr). The recorder must outlive the attachment.
-  void SetSpanRecorder(obs::SpanRecorder* recorder,
-                       int lane_band = kClusterLaneBand);
+  // Attaches `recorder` to every device with a SimExecutor::kLaneBand band
+  // per device, or detaches (nullptr). The recorder must outlive the
+  // attachment.
+  void SetSpanRecorder(obs::SpanRecorder* recorder);
 
   // Joins every stream on every device.
   void SynchronizeAll();

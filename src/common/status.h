@@ -79,6 +79,8 @@ class Status {
   }
 
   bool ok() const { return rep_ == nullptr; }
+  // Itself, so generic code reads a Status and a Result<T> alike.
+  const Status& status() const { return *this; }
   StatusCode code() const { return rep_ ? rep_->code : StatusCode::kOk; }
   const std::string& message() const {
     static const std::string kEmpty;

@@ -274,27 +274,21 @@ Result<PairCheckpoint> RunPairWithRetry(
     const MpTrainOptions& options, SimExecutor* executor, StreamId stream,
     int s, int t, const std::function<Result<PairCheckpoint>()>& attempt,
     int64_t* retries) {
-  const fault::RetryPolicy& policy = options.pair_retry;
-  for (int att = 1;; ++att) {
-    Result<PairCheckpoint> result = attempt();
-    if (result.ok()) return result;
-    if (!fault::IsTransientFault(result.status())) return result.status();
-    if (att >= policy.max_attempts) {
-      if (options.pair_failure_policy == PairFailurePolicy::kFailFast) {
-        return Status::Unavailable(StrPrintf(
-            "pair %dv%d failed after %d attempts: %s", s, t, att,
-            result.status().message().c_str()));
-      }
-      GMP_LOG(Warning) << "pair " << s << "v" << t << " degraded after " << att
-                       << " attempts: " << result.status().message();
-      return DegradedPair(s, t);
-    }
-    ++*retries;
-    const uint64_t seed =
-        (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(t);
-    executor->AdvanceStream(stream, fault::BackoffSeconds(policy, att, seed),
-                            "retry_backoff");
+  const uint64_t seed =
+      (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(t);
+  Result<PairCheckpoint> result =
+      RetryWithBackoff(options.pair_retry, seed, executor, stream,
+                       "retry_backoff", retries, attempt);
+  if (result.ok() || !fault::IsTransientFault(result.status())) return result;
+  const int attempts = options.pair_retry.max_attempts;
+  if (options.pair_failure_policy == PairFailurePolicy::kFailFast) {
+    return Status::Unavailable(
+        StrPrintf("pair %dv%d failed after %d attempts: %s", s, t, attempts,
+                  result.status().message().c_str()));
   }
+  GMP_LOG(Warning) << "pair " << s << "v" << t << " degraded after "
+                   << attempts << " attempts: " << result.status().message();
+  return DegradedPair(s, t);
 }
 
 // Consults the fault plan's simulated-kill knob after `completed_this_run`

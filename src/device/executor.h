@@ -40,6 +40,7 @@
 #include "common/status.h"
 #include "device/counters.h"
 #include "device/sim_model.h"
+#include "fault/retry.h"
 #include "obs/span.h"
 
 namespace gmpsvm {
@@ -186,6 +187,9 @@ class SimExecutor {
   // streams (each PredictRows call adds some), and the wrap keeps their rows
   // inside the assigned band instead of creeping into a neighbor's. The
   // recorder must outlive its attachment.
+  // Every multi-device recording (cluster devices, serve workers, router
+  // replicas) reserves kLaneBand lanes per simulated device.
+  static constexpr int kLaneBand = 16;
   void SetSpanRecorder(obs::SpanRecorder* recorder, int lane_base = 0,
                        int lane_width = 0) {
     recorder_ = recorder;
@@ -278,6 +282,27 @@ void SubmitParallelFor(SimExecutor* executor, StreamId stream, int64_t n,
 // spans the executor records itself; they are excluded from busy-time math.
 void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
                      double start, double end);
+
+// Runs `attempt` (returning a Status or a Result<T>) until it succeeds, fails
+// other than transiently (fault::IsTransientFault), or has run
+// policy.max_attempts times; returns the last result. Before retry k it
+// counts one in *retries and charges fault::BackoffSeconds(policy, k, seed)
+// as simulated time on `stream`, spanned as `label`.
+template <typename Attempt>
+auto RetryWithBackoff(const fault::RetryPolicy& policy, uint64_t seed,
+                      SimExecutor* executor, StreamId stream,
+                      const char* label, int64_t* retries, Attempt&& attempt) {
+  for (int att = 1;; ++att) {
+    auto result = attempt();
+    if (result.ok() || att >= policy.max_attempts ||
+        !fault::IsTransientFault(result.status())) {
+      return result;
+    }
+    ++*retries;
+    executor->AdvanceStream(stream, fault::BackoffSeconds(policy, att, seed),
+                            label);
+  }
+}
 
 }  // namespace gmpsvm
 

@@ -9,10 +9,6 @@
 namespace gmpsvm::fleet {
 namespace {
 
-// Lane band per replica, matching the router's layout: replica i's workers
-// trace into lanes [base + i*16*workers, ...).
-constexpr int kReplicaLaneBand = 16;
-
 SvStoreOptions StoreOptions(const FleetOptions& options,
                             obs::MetricsRegistry* metrics) {
   SvStoreOptions store;
@@ -21,6 +17,34 @@ SvStoreOptions StoreOptions(const FleetOptions& options,
   store.retention = options.sv_retention;
   store.metrics = metrics;
   return store;
+}
+
+// The router's options: the fleet's serve template with the SV-store and
+// per-tenant PredictOptions resolvers, one replica on the first device.
+RouterOptions PoolOptions(const FleetOptions& options, SvStore* sv_store,
+                          TenantRegistry* tenants) {
+  RouterOptions pool;
+  pool.serve = options.serve;
+  if (!options.devices.empty()) pool.devices = {options.devices.front()};
+  if (options.share_support_vectors) {
+    pool.serve.kernel_cache_resolver = [sv_store](const ModelHandle& handle) {
+      return sv_store->Bind(handle);
+    };
+  }
+  // Per-tenant PredictOptions overrides: batches resolve their tenant from
+  // the namespaced model key ("tenant:<name>"); tenants without an override
+  // (and non-tenant keys) keep the fleet-wide serve.predict.
+  pool.serve.predict_options_resolver =
+      [tenants](const std::string& model_name) -> std::optional<PredictOptions> {
+    const std::string prefix = TenantRegistry::ModelKey("");
+    if (model_name.compare(0, prefix.size(), prefix) != 0) {
+      return std::nullopt;
+    }
+    Result<TenantSpec> spec = tenants->GetSpec(model_name.substr(prefix.size()));
+    if (!spec.ok()) return std::nullopt;
+    return spec->predict;
+  };
+  return pool;
 }
 
 }  // namespace
@@ -33,7 +57,8 @@ FleetServer::FleetServer(FleetOptions options)
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_metrics_.get()),
       sv_store_(StoreOptions(options_, metrics_)),
-      autoscaler_(options_.autoscale) {
+      autoscaler_(options_.autoscale),
+      router_(tenants_.models(), PoolOptions(options_, &sv_store_, &tenants_)) {
   options_.initial_replicas = std::max(1, options_.initial_replicas);
   // Tenant hot-swaps ride the same validator/fault gate as single-model
   // serving.
@@ -56,57 +81,26 @@ FleetServer::FleetServer(FleetOptions options)
 FleetServer::~FleetServer() { (void)Shutdown(); }
 
 Status FleetServer::AddReplicaLocked() {
-  const int index = replicas_created_;
-  Replica replica;
-  replica.registry = std::make_unique<obs::MetricsRegistry>();
-  ServeOptions serve = options_.serve;
-  serve.metrics = replica.registry.get();
-  serve.lane_base = options_.serve.lane_base +
-                    index * std::max(1, serve.num_workers) * kReplicaLaneBand;
-  if (!options_.devices.empty()) {
-    serve.executor_model =
-        options_.devices[static_cast<size_t>(index) % options_.devices.size()];
-  }
-  if (options_.share_support_vectors) {
-    serve.kernel_cache_resolver = [this](const ModelHandle& handle) {
-      return sv_store_.Bind(handle);
-    };
-  }
-  // Per-tenant PredictOptions overrides: batches resolve their tenant from
-  // the namespaced model key ("tenant:<name>"); tenants without an override
-  // (and non-tenant keys) keep the fleet-wide serve.predict.
-  serve.predict_options_resolver =
-      [this](const std::string& model_name) -> std::optional<PredictOptions> {
-    const std::string prefix = TenantRegistry::ModelKey("");
-    if (model_name.compare(0, prefix.size(), prefix) != 0) {
-      return std::nullopt;
-    }
-    Result<TenantSpec> spec = tenants_.GetSpec(model_name.substr(prefix.size()));
-    if (!spec.ok()) return std::nullopt;
-    return spec->predict;
-  };
-  replica.server =
-      std::make_unique<InferenceServer>(tenants_.models(), std::move(serve));
-  GMP_RETURN_NOT_OK(replica.server->Start());
-  if (paused_) replica.server->Pause();
-  ++replicas_created_;
-  replicas_.push_back(std::move(replica));
-  return Status::OK();
+  const std::vector<ExecutorModel>& devices = options_.devices;
+  if (devices.empty()) return router_.AddReplica(options_.serve.executor_model);
+  return router_.AddReplica(
+      devices[static_cast<size_t>(router_.replicas_created()) % devices.size()]);
 }
 
 Status FleetServer::Start() {
   GMP_RETURN_NOT_OK(options_.autoscale.Validate());
-  std::lock_guard<std::mutex> lock(replicas_mu_);
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (shut_down_) return Status::FailedPrecondition("fleet was shut down");
-  if (started_) return Status::FailedPrecondition("fleet already started");
-  started_ = true;
+  if (serving_) return Status::FailedPrecondition("fleet already started");
   const int initial =
       std::clamp(options_.initial_replicas, options_.autoscale.min_replicas,
                  options_.autoscale.max_replicas);
-  for (int i = 0; i < initial; ++i) {
+  GMP_RETURN_NOT_OK(router_.Start());  // its one replica; the rest join started
+  while (router_.num_replicas() < initial) {
     GMP_RETURN_NOT_OK(AddReplicaLocked());
   }
-  replicas_gauge_->Set(static_cast<double>(replicas_.size()));
+  replicas_gauge_->Set(static_cast<double>(initial));
+  serving_ = true;
   return Status::OK();
 }
 
@@ -175,18 +169,12 @@ Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
         state->bucket->RetryAfterSeconds(now)));
   }
 
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  if (replicas_.empty()) {
+  if (!serving_.load()) {
     state->rejected->Increment();
     return Status::FailedPrecondition("fleet is not serving");
   }
-
-  size_t depth = 0;
-  size_t capacity = 0;
-  for (const Replica& replica : replicas_) {
-    depth += replica.server->queue_depth();
-    capacity += replica.server->options().queue_capacity;
-  }
+  const size_t depth = router_.total_queue_depth();
+  const size_t capacity = router_.total_capacity();
 
   // Gate 2: the overload priority ladder — lowest priority sheds first.
   const double fraction =
@@ -213,17 +201,8 @@ Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
     }
   }
 
-  // Route least-loaded first (ties to the lowest index), spilling to the
-  // next replica only on a full queue.
-  std::vector<std::pair<size_t, size_t>> order;  // (depth, replica index)
-  order.reserve(replicas_.size());
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    order.emplace_back(replicas_[r].server->queue_depth(), r);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  CompletionCallback on_complete =
+  auto submitted = router_.Submit(
+      indices, values, deadline, TenantRegistry::ModelKey(tenant),
       [state](const Result<PredictResponse>& response) {
         if (response.ok()) {
           state->completed->Increment();
@@ -231,52 +210,23 @@ Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
         } else {
           state->failed->Increment();
         }
-      };
-
-  Status last = Status::ResourceExhausted("no replica accepted the request");
-  const std::string model_key = TenantRegistry::ModelKey(tenant);
-  for (const auto& [unused_depth, r] : order) {
-    auto submitted = replicas_[r].server->Submit(indices, values, deadline,
-                                                 model_key, on_complete);
-    if (submitted.ok()) {
-      state->admitted->Increment();
-      return submitted;
-    }
-    if (!submitted.status().IsResourceExhausted()) {
-      state->rejected->Increment();
-      return submitted.status();
-    }
-    last = submitted.status();
-  }
-  state->rejected->Increment();
-  return last;
+      });
+  (submitted.ok() ? state->admitted : state->rejected)->Increment();
+  return submitted;
 }
 
 Result<PredictResponse> FleetServer::Predict(const std::string& tenant,
                                              std::span<const int32_t> indices,
                                              std::span<const double> values,
                                              Deadline deadline) {
-  GMP_ASSIGN_OR_RETURN(auto future, Submit(tenant, indices, values, deadline));
-  // Bounded slices: an infinite deadline's Remaining() overflows wait_for.
-  while (future.wait_for(deadline.BoundedRemaining(std::chrono::seconds(1))) !=
-         std::future_status::ready) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("request deadline expired while waiting");
-    }
-  }
-  return future.get();
+  return AwaitResponse(Submit(tenant, indices, values, deadline), deadline);
 }
 
 ScaleDecision FleetServer::ScaleTick() {
-  std::unique_lock<std::mutex> lock(replicas_mu_);
-  if (!started_ || shut_down_ || replicas_.empty()) {
-    return ScaleDecision::kHold;
-  }
-  size_t depth = 0;
-  for (const Replica& replica : replicas_) {
-    depth += replica.server->queue_depth();
-  }
-  const int count = static_cast<int>(replicas_.size());
+  std::unique_lock<std::mutex> lock(lifecycle_mu_);
+  if (!serving_.load()) return ScaleDecision::kHold;
+  const size_t depth = router_.total_queue_depth();
+  const int count = router_.num_replicas();
   replicas_gauge_->Set(static_cast<double>(count));
   queue_depth_gauge_->Set(static_cast<double>(depth));
   mean_depth_gauge_->Set(static_cast<double>(depth) / count);
@@ -288,67 +238,30 @@ ScaleDecision FleetServer::ScaleTick() {
   if (decision == ScaleDecision::kScaleUp) {
     if (AddReplicaLocked().ok()) {
       scale_ups_->Increment();
-      replicas_gauge_->Set(static_cast<double>(replicas_.size()));
+      replicas_gauge_->Set(static_cast<double>(count + 1));
     }
   } else if (decision == ScaleDecision::kScaleDown) {
-    Replica victim = std::move(replicas_.back());
-    replicas_.pop_back();
-    retired_registries_.push_back(std::move(victim.registry));
+    std::unique_ptr<InferenceServer> victim = router_.RetireNewest();
     scale_downs_->Increment();
-    replicas_gauge_->Set(static_cast<double>(replicas_.size()));
+    replicas_gauge_->Set(static_cast<double>(count - 1));
     lock.unlock();
     // Drain-and-retire outside the lock: accepted requests are answered
     // while new submissions route to the surviving replicas.
-    (void)victim.server->Shutdown();
+    (void)victim->Shutdown();
   }
   return decision;
 }
 
-void FleetServer::PauseAll() {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  paused_ = true;
-  for (Replica& replica : replicas_) replica.server->Pause();
-}
-
-void FleetServer::ResumeAll() {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  paused_ = false;
-  for (Replica& replica : replicas_) replica.server->Resume();
-}
-
 Status FleetServer::Shutdown() {
-  std::vector<Replica> replicas;
   {
-    std::lock_guard<std::mutex> lock(replicas_mu_);
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
     if (shut_down_) return Status::OK();
     shut_down_ = true;
-    replicas = std::move(replicas_);
-    replicas_.clear();
-    for (Replica& replica : replicas) {
-      retired_registries_.push_back(std::move(replica.registry));
-    }
+    serving_ = false;
   }
-  Status first = Status::OK();
-  for (Replica& replica : replicas) {
-    const Status status = replica.server->Shutdown();
-    if (first.ok() && !status.ok()) first = status;
-  }
+  const Status status = router_.Shutdown();
   replicas_gauge_->Set(0.0);
-  return first;
-}
-
-int FleetServer::num_replicas() const {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  return static_cast<int>(replicas_.size());
-}
-
-size_t FleetServer::total_queue_depth() const {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  size_t depth = 0;
-  for (const Replica& replica : replicas_) {
-    depth += replica.server->queue_depth();
-  }
-  return depth;
+  return status;
 }
 
 FleetStatsSnapshot FleetServer::Snapshot() const {
@@ -375,30 +288,25 @@ FleetStatsSnapshot FleetServer::Snapshot() const {
       snap.tenants.push_back(std::move(tenant));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(replicas_mu_);
-    snap.replicas = static_cast<int>(replicas_.size());
-    const int workers = std::max(1, options_.serve.num_workers);
-    auto accumulate = [&](obs::MetricsRegistry* registry) {
-      for (int w = 0; w < workers; ++w) {
-        const obs::Labels labels{{"worker", std::to_string(w)}};
-        snap.kernel_values_computed += static_cast<int64_t>(
-            registry
-                ->GetCounter("gmpsvm_kernel_values_computed_total",
-                             "Kernel-function evaluations actually computed.",
-                             labels)
-                ->Value());
-        snap.kernel_values_reused += static_cast<int64_t>(
-            registry
-                ->GetCounter("gmpsvm_kernel_values_reused_total",
-                             "Kernel values served from a buffer instead of "
-                             "recomputed.",
-                             labels)
-                ->Value());
-      }
-    };
-    for (const Replica& replica : replicas_) accumulate(replica.registry.get());
-    for (const auto& registry : retired_registries_) accumulate(registry.get());
+  snap.replicas = num_replicas();
+  const int workers = std::max(1, options_.serve.num_workers);
+  for (obs::MetricsRegistry* registry : router_.replica_registries()) {
+    for (int w = 0; w < workers; ++w) {
+      const obs::Labels labels{{"worker", std::to_string(w)}};
+      snap.kernel_values_computed += static_cast<int64_t>(
+          registry
+              ->GetCounter("gmpsvm_kernel_values_computed_total",
+                           "Kernel-function evaluations actually computed.",
+                           labels)
+              ->Value());
+      snap.kernel_values_reused += static_cast<int64_t>(
+          registry
+              ->GetCounter("gmpsvm_kernel_values_reused_total",
+                           "Kernel values served from a buffer instead of "
+                           "recomputed.",
+                           labels)
+              ->Value());
+    }
   }
   snap.scale_ups = static_cast<uint64_t>(scale_ups_->Value());
   snap.scale_downs = static_cast<uint64_t>(scale_downs_->Value());

@@ -4,12 +4,15 @@
 //                                       │ shed: kUnavailable + retry-after
 //                                   overload gate (priority ladder over the
 //                                       │ fleet-wide queue fraction)
-//                                   least-loaded replica (InferenceServer,
+//                                   ReplicaRouter (least-loaded replica,
 //                                       │ one simulated device per worker)
 //                                   model-homogeneous micro-batches against
 //                                       │ the tenant's registry snapshot
 //                                   shared SV store (cross-tenant kernel-
 //                                           value reuse, Section 3.3.3)
+//
+// The replicas, their lanes and registries, and the routing belong to one
+// ReplicaRouter (serve/replica_router.h); the fleet keeps only its policy.
 //
 // Every tenant's models live in the TenantRegistry's namespace and hot-swap
 // through the validator/rollback gate. With share_support_vectors on, all
@@ -20,20 +23,21 @@
 //
 // Replica autoscaling is gauge-driven: ScaleTick() publishes the fleet's
 // queue-depth gauges and feeds the mean depth per replica to the Autoscaler;
-// a scale-up adds a replica (cycling through the configured device models —
-// a SimCluster's devices make a natural substrate), a scale-down
+// a scale-up adds a router replica (cycling through the configured device
+// models — a SimCluster's devices make a natural substrate), a scale-down
 // drain-and-retires the newest one. Both respect min/max_replicas.
 //
 // Observability: per-tenant series (gmpsvm_fleet_*_total{tenant=...},
 // gmpsvm_fleet_latency_seconds{tenant=...}) and fleet gauges publish into
 // FleetOptions::metrics (or a private registry when null). Each replica
-// keeps a private ServeStats registry so per-worker series never collide;
+// keeps a private registry in the router so per-worker series never collide;
 // Snapshot() aggregates kernel-evaluation counters across live and retired
 // replicas.
 
 #ifndef GMPSVM_FLEET_FLEET_SERVER_H_
 #define GMPSVM_FLEET_FLEET_SERVER_H_
 
+#include <atomic>
 #include <future>
 #include <map>
 #include <memory>
@@ -47,13 +51,13 @@
 #include "fleet/quota.h"
 #include "fleet/sv_store.h"
 #include "fleet/tenant_registry.h"
-#include "serve/server.h"
+#include "serve/replica_router.h"
 
 namespace gmpsvm::fleet {
 
 struct FleetOptions {
   // Template applied to every replica. Its model_name, metrics and
-  // kernel_cache_resolver are managed by the fleet; its lane_base is the
+  // resolvers are managed by the fleet and its router; its lane_base is the
   // base of replica 0's trace band; its fault injector reaches every
   // replica's devices.
   ServeOptions serve;
@@ -159,14 +163,14 @@ class FleetServer {
 
   // Pauses/resumes every replica's consumption (admission unaffected) —
   // deterministic backlog for overload and autoscale tests.
-  void PauseAll();
-  void ResumeAll();
+  void PauseAll() { router_.PauseAll(); }
+  void ResumeAll() { router_.ResumeAll(); }
 
   // Drains every replica and joins their workers. Idempotent.
   Status Shutdown();
 
-  int num_replicas() const;
-  size_t total_queue_depth() const;
+  int num_replicas() const { return serving_ ? router_.num_replicas() : 0; }
+  size_t total_queue_depth() const { return router_.total_queue_depth(); }
   TenantRegistry& tenants() { return tenants_; }
   SvStore& sv_store() { return sv_store_; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
@@ -188,13 +192,7 @@ class FleetServer {
     obs::Histogram* latency;
   };
 
-  struct Replica {
-    std::unique_ptr<obs::MetricsRegistry> registry;  // private per-worker series
-    std::unique_ptr<InferenceServer> server;
-  };
-
-  // Creates (and starts, when the fleet is started) the next replica.
-  // Requires replicas_mu_.
+  // Adds replica i on devices[i % n]. Requires lifecycle_mu_.
   Status AddReplicaLocked();
 
   TenantState* FindTenant(const std::string& name);
@@ -221,13 +219,12 @@ class FleetServer {
   std::map<std::string, std::unique_ptr<TenantState>> tenant_states_;
   int max_priority_ = 0;
 
-  mutable std::mutex replicas_mu_;
-  std::vector<Replica> replicas_;
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> retired_registries_;
-  int replicas_created_ = 0;  // lane/device assignment survives retirement
-  bool started_ = false;
+  // Declared after every member its workers use, so it drains before them.
+  ReplicaRouter router_;
+
+  std::mutex lifecycle_mu_;  // serializes Start, ScaleTick and Shutdown
   bool shut_down_ = false;
-  bool paused_ = false;
+  std::atomic<bool> serving_{false};  // started and not yet shut down
 };
 
 }  // namespace gmpsvm::fleet

@@ -42,23 +42,24 @@ RetrainDaemon::RetrainDaemon(const RetrainDaemonOptions& options,
   }
 }
 
+Status RetrainDaemon::InjectedFault(fault::Site site,
+                                   const std::string& message) {
+  return injector_.has_value() && injector_->ShouldInject(site)
+             ? Status::Unavailable(message)
+             : Status::OK();
+}
+
 Result<DatasetDelta> RetrainDaemon::LoadDeltaWithRetry(
     const std::string& path, RetrainDaemonReport* report) {
-  SimExecutor* dev = cluster_->device(0);
-  for (int att = 1;; ++att) {
-    Status injected = Status::OK();
-    if (injector_.has_value() &&
-        injector_->ShouldInject(fault::Site::kDeltaParse)) {
-      injected = Status::Unavailable("injected delta-parse fault: " + path);
-    }
-    if (injected.ok()) return LoadDelta(path);
-    if (att >= options_.retry.max_attempts) return injected;
-    ++report->delta_parse_retries;
-    const uint64_t seed = SplitMix64(0xDE17Aull ^ options_.traffic_seed);
-    dev->AdvanceStream(kDefaultStream,
-                       fault::BackoffSeconds(options_.retry, att, seed),
-                       "delta_parse_backoff");
-  }
+  // Only the injected fault is retried; a malformed delta fails at once.
+  GMP_RETURN_NOT_OK(RetryWithBackoff(
+      options_.retry, SplitMix64(0xDE17Aull ^ options_.traffic_seed),
+      cluster_->device(0), kDefaultStream, "delta_parse_backoff",
+      &report->delta_parse_retries, [&] {
+        return InjectedFault(fault::Site::kDeltaParse,
+                             "injected delta-parse fault: " + path);
+      }));
+  return LoadDelta(path);
 }
 
 Result<RetrainDaemon::ServedRound> RetrainDaemon::ServeRound(
@@ -245,63 +246,54 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
           canary_round.truth[static_cast<size_t>(i)]);
     }
 
-    bool canary_completed = false;
+    // Only the injected kCanary fault is retried; a shadow-prediction error
+    // propagates.
+    SimExecutor* dev = cluster_->device(0);
     CanaryVerdict verdict;
-    {
-      SimExecutor* dev = cluster_->device(0);
-      for (int att = 1; att <= options_.retry.max_attempts; ++att) {
-        if (injector_.has_value() &&
-            injector_->ShouldInject(fault::Site::kCanary)) {
-          if (att >= options_.retry.max_attempts) break;
-          ++report.canary_retries;
-          const uint64_t seed = SplitMix64(0xCA9A1ull ^ options_.traffic_seed);
-          dev->AdvanceStream(kDefaultStream,
-                             fault::BackoffSeconds(options_.retry, att, seed),
-                             "canary_backoff");
-          continue;
-        }
-        CanaryComparator comparator(
-            num_classes, options_.canary,
-            SplitMix64(options_.traffic_seed ^ (0xCAFEull + round)));
-        std::vector<size_t> sampled;
-        for (size_t i = 0; i < canary_round.rows.size(); ++i) {
-          if (comparator.ShouldSample()) sampled.push_back(i);
-        }
-        std::vector<SparseRowView> views;
-        views.reserve(sampled.size());
-        for (size_t i : sampled) {
-          const int64_t row = canary_round.rows[i];
-          views.push_back(
-              SparseRowView{current.features().RowIndices(row),
-                            current.features().RowValues(row)});
-        }
-        MpSvmPredictor candidate_predictor(&*candidate);
-        GMP_ASSIGN_OR_RETURN(
-            PredictResult shadow,
-            candidate_predictor.PredictRows(views, dev, options_.predict));
-        for (size_t j = 0; j < sampled.size(); ++j) {
-          const size_t i = sampled[j];
-          comparator.Record(
-              std::span<const double>(
-                  canary_round.result.probabilities.data() +
-                      i * static_cast<size_t>(num_classes),
-                  static_cast<size_t>(num_classes)),
-              std::span<const double>(
-                  shadow.probabilities.data() +
-                      j * static_cast<size_t>(num_classes),
-                  static_cast<size_t>(num_classes)),
-              canary_round.truth[i]);
-        }
-        report.canary_sampled += static_cast<int64_t>(sampled.size());
-        if (canary_counter != nullptr) {
-          canary_counter->Add(static_cast<double>(sampled.size()));
-        }
-        verdict = comparator.Verdict();
-        canary_completed = true;
-        break;
+    const Status canary_gate = RetryWithBackoff(
+        options_.retry, SplitMix64(0xCA9A1ull ^ options_.traffic_seed), dev,
+        kDefaultStream, "canary_backoff", &report.canary_retries, [&] {
+          return InjectedFault(fault::Site::kCanary, "injected canary fault");
+        });
+    if (canary_gate.ok()) {
+      CanaryComparator comparator(
+          num_classes, options_.canary,
+          SplitMix64(options_.traffic_seed ^ (0xCAFEull + round)));
+      std::vector<size_t> sampled;
+      for (size_t i = 0; i < canary_round.rows.size(); ++i) {
+        if (comparator.ShouldSample()) sampled.push_back(i);
       }
-    }
-    if (!canary_completed) {
+      std::vector<SparseRowView> views;
+      views.reserve(sampled.size());
+      for (size_t i : sampled) {
+        const int64_t row = canary_round.rows[i];
+        views.push_back(
+            SparseRowView{current.features().RowIndices(row),
+                          current.features().RowValues(row)});
+      }
+      MpSvmPredictor candidate_predictor(&*candidate);
+      GMP_ASSIGN_OR_RETURN(
+          PredictResult shadow,
+          candidate_predictor.PredictRows(views, dev, options_.predict));
+      for (size_t j = 0; j < sampled.size(); ++j) {
+        const size_t i = sampled[j];
+        comparator.Record(
+            std::span<const double>(
+                canary_round.result.probabilities.data() +
+                    i * static_cast<size_t>(num_classes),
+                static_cast<size_t>(num_classes)),
+            std::span<const double>(
+                shadow.probabilities.data() +
+                    j * static_cast<size_t>(num_classes),
+                static_cast<size_t>(num_classes)),
+            canary_round.truth[i]);
+      }
+      report.canary_sampled += static_cast<int64_t>(sampled.size());
+      if (canary_counter != nullptr) {
+        canary_counter->Add(static_cast<double>(sampled.size()));
+      }
+      verdict = comparator.Verdict();
+    } else {
       verdict.passed = false;
       verdict.reason = "canary aborted by injected faults";
     }
@@ -316,39 +308,20 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
     }
 
     // --- Swap phase (validator + site kModelSwap inside the registry) ------
-    bool committed = false;
-    Status swap_status = Status::OK();
-    {
-      SimExecutor* dev = cluster_->device(0);
-      for (int att = 1; att <= options_.retry.max_attempts; ++att) {
-        Result<int64_t> version =
-            registry_->Register(options_.model_name, *candidate);
-        if (version.ok()) {
-          report.final_model_version = *version;
-          committed = true;
-          break;
-        }
-        swap_status = version.status();
-        if (!fault::IsTransientFault(swap_status) ||
-            att >= options_.retry.max_attempts) {
-          break;
-        }
-        ++report.swap_retries;
-        const uint64_t seed = SplitMix64(0x54A9ull ^ options_.traffic_seed);
-        dev->AdvanceStream(kDefaultStream,
-                           fault::BackoffSeconds(options_.retry, att, seed),
-                           "swap_backoff");
-      }
-    }
-    if (!committed) {
+    const Result<int64_t> swapped = RetryWithBackoff(
+        options_.retry, SplitMix64(0x54A9ull ^ options_.traffic_seed), dev,
+        kDefaultStream, "swap_backoff", &report.swap_retries,
+        [&] { return registry_->Register(options_.model_name, *candidate); });
+    if (!swapped.ok()) {
       GMP_LOG(Warning) << "swap rejected, rolling back: "
-                       << swap_status.message();
+                       << swapped.status().message();
       ++report.rollbacks;
       if (rollbacks_counter != nullptr) rollbacks_counter->Increment();
       drift.Disarm();
       continue;
     }
 
+    report.final_model_version = *swapped;
     ++report.swaps_committed;
     if (swaps_counter != nullptr) swaps_counter->Increment();
     checkpoints = CheckpointsFromModel(*candidate);

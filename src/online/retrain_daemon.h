@@ -135,6 +135,8 @@ class RetrainDaemon {
     PredictResult result;
   };
 
+  // kUnavailable(message) when the fault plan fires at `site`, else OK.
+  Status InjectedFault(fault::Site site, const std::string& message);
   Result<DatasetDelta> LoadDeltaWithRetry(const std::string& path,
                                           RetrainDaemonReport* report);
   Result<ServedRound> ServeRound(const Dataset& dataset,

@@ -1,52 +1,66 @@
 #include "serve/replica_router.h"
 
 #include <algorithm>
-#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <utility>
 
 namespace gmpsvm {
-namespace {
-
-// Matches kWorkerLaneStride in server.cc: each worker's simulated device
-// occupies 16 lanes, so a replica's band is 16 lanes per worker.
-constexpr int kLanesPerWorker = 16;
-
-}  // namespace
 
 ReplicaRouter::ReplicaRouter(ModelRegistry* registry, RouterOptions options)
-    : options_(std::move(options)) {
+    : registry_(registry), options_(std::move(options)) {
   std::vector<ExecutorModel> devices = options_.devices;
   if (devices.empty()) devices.push_back(options_.serve.executor_model);
-  const int workers = std::max(1, options_.serve.num_workers);
-  replicas_.reserve(devices.size());
-  for (size_t r = 0; r < devices.size(); ++r) {
-    ServeOptions serve = options_.serve;
-    serve.executor_model = devices[r];
-    // Private stats registry per replica; router-level series carry the
-    // {device=...} label instead.
-    serve.metrics = nullptr;
-    serve.lane_base = options_.serve.lane_base +
-                      static_cast<int>(r) * workers * kLanesPerWorker;
-    replicas_.push_back(
-        std::make_unique<InferenceServer>(registry, std::move(serve)));
+  for (const ExecutorModel& device : devices) {
+    (void)AddReplica(device);  // cannot fail before Start()
   }
-  routed_ = std::vector<std::atomic<int64_t>>(replicas_.size());
 }
 
 ReplicaRouter::~ReplicaRouter() { (void)Shutdown(); }
 
+Status ReplicaRouter::AddReplica(const ExecutorModel& device) {
+  std::unique_lock lock(mu_);
+  const int index = static_cast<int>(registries_.size());
+  auto metrics = std::make_unique<obs::MetricsRegistry>();
+  ServeOptions serve = options_.serve;
+  serve.executor_model = device;
+  // Private registry per replica; router-level series carry the
+  // {device=...} label instead.
+  serve.metrics = metrics.get();
+  serve.lane_base = options_.serve.lane_base +
+                    index * std::max(1, serve.num_workers) *
+                        SimExecutor::kLaneBand;
+  auto replica = std::make_unique<InferenceServer>(registry_, std::move(serve));
+  if (started_) GMP_RETURN_NOT_OK(replica->Start());
+  if (paused_) replica->Pause();
+  registries_.push_back(std::move(metrics));
+  replicas_.push_back(std::move(replica));
+  return Status::OK();
+}
+
 Status ReplicaRouter::Start() {
-  for (std::unique_ptr<InferenceServer>& replica : replicas_) {
+  std::unique_lock lock(mu_);
+  started_ = true;
+  for (const std::unique_ptr<InferenceServer>& replica : replicas_) {
     GMP_RETURN_NOT_OK(replica->Start());
   }
   return Status::OK();
 }
 
+std::unique_ptr<InferenceServer> ReplicaRouter::RetireNewest() {
+  std::unique_lock lock(mu_);
+  if (replicas_.empty()) return nullptr;
+  std::unique_ptr<InferenceServer> victim = std::move(replicas_.back());
+  replicas_.pop_back();
+  return victim;
+}
+
 Result<std::future<Result<PredictResponse>>> ReplicaRouter::Submit(
     std::span<const int32_t> indices, std::span<const double> values,
-    Deadline deadline) {
+    Deadline deadline, std::string model_name,
+    CompletionCallback on_complete) {
+  std::shared_lock lock(mu_);
   // Rank replicas by queue depth (snapshot), ties to the lowest index, and
   // admit at the first that accepts. Depths move under concurrent Submits —
   // the ranking is a heuristic, the fallback is the guarantee.
@@ -62,9 +76,8 @@ Result<std::future<Result<PredictResponse>>> ReplicaRouter::Submit(
   Status last = Status::ResourceExhausted("router has no replicas");
   for (size_t r : order) {
     Result<std::future<Result<PredictResponse>>> admitted =
-        replicas_[r]->Submit(indices, values, deadline);
+        replicas_[r]->Submit(indices, values, deadline, model_name, on_complete);
     if (admitted.ok()) {
-      routed_[r].fetch_add(1, std::memory_order_relaxed);
       NoteRouted(r);
       return admitted;
     }
@@ -79,23 +92,76 @@ Result<std::future<Result<PredictResponse>>> ReplicaRouter::Submit(
 Result<PredictResponse> ReplicaRouter::Predict(std::span<const int32_t> indices,
                                                std::span<const double> values,
                                                Deadline deadline) {
-  GMP_ASSIGN_OR_RETURN(auto future, Submit(indices, values, deadline));
-  while (future.wait_for(deadline.BoundedRemaining(std::chrono::seconds(1))) !=
-         std::future_status::ready) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("request deadline expired while waiting");
-    }
+  return AwaitResponse(Submit(indices, values, deadline), deadline);
+}
+
+void ReplicaRouter::PauseAll() {
+  std::unique_lock lock(mu_);
+  paused_ = true;
+  for (const std::unique_ptr<InferenceServer>& replica : replicas_) {
+    replica->Pause();
   }
-  return future.get();
+}
+
+void ReplicaRouter::ResumeAll() {
+  std::unique_lock lock(mu_);
+  paused_ = false;
+  for (const std::unique_ptr<InferenceServer>& replica : replicas_) {
+    replica->Resume();
+  }
 }
 
 Status ReplicaRouter::Shutdown() {
+  std::unique_lock lock(mu_);
   Status first = Status::OK();
-  for (std::unique_ptr<InferenceServer>& replica : replicas_) {
+  for (const std::unique_ptr<InferenceServer>& replica : replicas_) {
     const Status s = replica->Shutdown();
     if (first.ok() && !s.ok()) first = s;
   }
   return first;
+}
+
+int ReplicaRouter::num_replicas() const {
+  std::shared_lock lock(mu_);
+  return static_cast<int>(replicas_.size());
+}
+
+int ReplicaRouter::replicas_created() const {
+  std::shared_lock lock(mu_);
+  return static_cast<int>(registries_.size());
+}
+
+size_t ReplicaRouter::total_queue_depth() const {
+  std::shared_lock lock(mu_);
+  size_t depth = 0;
+  for (const std::unique_ptr<InferenceServer>& replica : replicas_) {
+    depth += replica->queue_depth();
+  }
+  return depth;
+}
+
+size_t ReplicaRouter::total_capacity() const {
+  std::shared_lock lock(mu_);
+  return replicas_.size() * options_.serve.queue_capacity;
+}
+
+InferenceServer* ReplicaRouter::replica(int r) {
+  std::shared_lock lock(mu_);
+  return replicas_[static_cast<size_t>(r)].get();
+}
+
+int64_t ReplicaRouter::routed(int r) const {
+  std::shared_lock lock(mu_);
+  return static_cast<int64_t>(
+      replicas_[static_cast<size_t>(r)]->stats().Snapshot().admitted);
+}
+
+std::vector<obs::MetricsRegistry*> ReplicaRouter::replica_registries() const {
+  std::shared_lock lock(mu_);
+  std::vector<obs::MetricsRegistry*> registries;
+  registries.reserve(registries_.size());
+  for (const auto& registry : registries_) registries.push_back(registry.get());
+  return registries;
 }
 
 void ReplicaRouter::NoteRouted(size_t r) {

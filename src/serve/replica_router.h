@@ -1,4 +1,4 @@
-// ReplicaRouter: sharded serving across cluster devices.
+// ReplicaRouter: the serving stack's one replica pool.
 //
 // One InferenceServer replica per device model, all serving the same
 // ModelRegistry (a hot-swap takes effect on every replica's next batch), with
@@ -6,25 +6,26 @@
 // shallowest queue (ties to the lowest replica index) and falls through to
 // the next-least-loaded replica when a queue rejects with
 // kResourceExhausted — a request is only rejected when every replica is full.
+// Replicas may be added and retired while Submits race; the multi-tenant
+// FleetServer sits on one router and keeps only fleet policy.
 //
 // Per-request results stay bit-identical to a direct MpSvmPredictor call
 // whichever replica answers (the single-server guarantee, per replica).
 //
-// Observability: each replica keeps its own private ServeStats registry
-// (reachable via replica(r)->stats()) so per-worker series from different
-// replicas never collide; the router publishes its own routing counters and
-// queue-depth gauges labeled {device=...} into RouterOptions::metrics. When
-// a trace recorder is shared, replica r's lanes are offset by
-// r * 16 * num_workers via ServeOptions::lane_base so the merged trace shows
-// one band per device.
+// Observability: each replica keeps a private registry (kept after it
+// retires) so per-worker series never collide; the router publishes routing
+// counters and queue-depth gauges labeled {device=...} into
+// RouterOptions::metrics. With a shared trace recorder, the i-th replica
+// created traces at lane_base + i * SimExecutor::kLaneBand * num_workers.
 
 #ifndef GMPSVM_SERVE_REPLICA_ROUTER_H_
 #define GMPSVM_SERVE_REPLICA_ROUTER_H_
 
-#include <atomic>
 #include <future>
 #include <memory>
+#include <shared_mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "serve/server.h"
@@ -59,38 +60,63 @@ class ReplicaRouter {
   // Starts every replica; fails on the first replica that cannot start.
   Status Start();
 
+  // Adds a replica on `device` with the next lane band; it starts at once
+  // when the router has started and begins paused while the pool is paused.
+  Status AddReplica(const ExecutorModel& device);
+
+  // Takes the newest replica out of routing and hands it back (null when
+  // none is live). The caller drains it with Shutdown(), outside any lock;
+  // its registry stays in replica_registries().
+  std::unique_ptr<InferenceServer> RetireNewest();
+
   // Least-loaded admission across replicas (see header comment). Fails with
   // the last replica's kResourceExhausted only when every replica rejected.
+  // `model_name` and `on_complete` pass through to InferenceServer::Submit.
   Result<std::future<Result<PredictResponse>>> Submit(
       std::span<const int32_t> indices, std::span<const double> values,
-      Deadline deadline = Deadline::Infinite());
+      Deadline deadline = Deadline::Infinite(), std::string model_name = {},
+      CompletionCallback on_complete = nullptr);
 
   // Submit + wait, flattening admission and per-request errors.
   Result<PredictResponse> Predict(std::span<const int32_t> indices,
                                   std::span<const double> values,
                                   Deadline deadline = Deadline::Infinite());
 
-  // Shuts every replica down (drains accepted requests). Idempotent;
+  // Pauses/resumes every replica's consumption (admission unaffected),
+  // including replicas added while paused.
+  void PauseAll();
+  void ResumeAll();
+
+  // Shuts every live replica down (drains accepted requests). Idempotent;
   // returns the first error.
   Status Shutdown();
 
-  int num_replicas() const { return static_cast<int>(replicas_.size()); }
-  InferenceServer* replica(int r) { return replicas_[static_cast<size_t>(r)].get(); }
-  const InferenceServer* replica(int r) const {
-    return replicas_[static_cast<size_t>(r)].get();
-  }
+  int num_replicas() const;
+  // Replicas ever created, retired ones included.
+  int replicas_created() const;
+  // Queued requests and queue capacity, summed over live replicas.
+  size_t total_queue_depth() const;
+  size_t total_capacity() const;
 
-  // Requests dispatched to replica r so far.
-  int64_t routed(int r) const {
-    return routed_[static_cast<size_t>(r)].load(std::memory_order_relaxed);
-  }
+  // Live replica r (0 = oldest; valid until it retires) and the requests
+  // dispatched to it so far (its admissions).
+  InferenceServer* replica(int r);
+  int64_t routed(int r) const;
+
+  // Every replica's private registry, live and retired, in creation order.
+  std::vector<obs::MetricsRegistry*> replica_registries() const;
 
  private:
   void NoteRouted(size_t r);
 
+  ModelRegistry* registry_;
   RouterOptions options_;
+
+  mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<InferenceServer>> replicas_;
-  std::vector<std::atomic<int64_t>> routed_;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> registries_;
+  bool started_ = false;
+  bool paused_ = false;
 };
 
 }  // namespace gmpsvm

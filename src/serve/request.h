@@ -10,6 +10,7 @@
 #ifndef GMPSVM_SERVE_REQUEST_H_
 #define GMPSVM_SERVE_REQUEST_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -74,6 +75,21 @@ struct PendingRequest {
   MonotonicTime enqueue_time;
   CompletionCallback on_complete;
 };
+
+// Every front end's Predict: the admission error, or the admitted request's
+// terminal result, or kDeadlineExceeded once `deadline` passes. Waits in
+// bounded slices: an infinite deadline's Remaining() overflows wait_for.
+inline Result<PredictResponse> AwaitResponse(
+    Result<std::future<Result<PredictResponse>>> admitted, Deadline deadline) {
+  if (!admitted.ok()) return admitted.status();
+  while (admitted->wait_for(deadline.BoundedRemaining(
+             std::chrono::seconds(1))) != std::future_status::ready) {
+    if (deadline.Expired()) {
+      return Status::DeadlineExceeded("request deadline expired while waiting");
+    }
+  }
+  return admitted->get();
+}
 
 }  // namespace gmpsvm
 

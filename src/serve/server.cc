@@ -1,20 +1,13 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 
 namespace gmpsvm {
-namespace {
-
-// Lane spacing for per-worker device executors sharing one TraceRecorder:
-// worker w's simulated streams occupy lanes [16w, 16w + 16) so rows from
-// different workers never collide in the merged trace.
-constexpr int kWorkerLaneStride = 16;
-
-}  // namespace
 
 InferenceServer::InferenceServer(ModelRegistry* registry, ServeOptions options)
     : registry_(registry),
@@ -68,6 +61,12 @@ Result<std::future<Result<PredictResponse>>> InferenceServer::Submit(
       return Status::InvalidArgument(
           "feature indices must be nonnegative and strictly increasing");
     }
+    if (!std::isfinite(values[i])) {
+      stats_.RecordRejected();
+      return Status::InvalidArgument(
+          StrPrintf("non-finite value %g at position %zu (feature %d)",
+                    values[i], i, indices[i]));
+    }
   }
 
   PendingRequest item;
@@ -91,17 +90,7 @@ Result<std::future<Result<PredictResponse>>> InferenceServer::Submit(
 Result<PredictResponse> InferenceServer::Predict(
     std::span<const int32_t> indices, std::span<const double> values,
     Deadline deadline) {
-  GMP_ASSIGN_OR_RETURN(auto future, Submit(indices, values, deadline));
-  // Wait in bounded slices: Deadline::Remaining() of an infinite deadline is
-  // duration::max, which overflows wait_for's internal now() + duration
-  // arithmetic on common implementations.
-  while (future.wait_for(deadline.BoundedRemaining(std::chrono::seconds(1))) !=
-         std::future_status::ready) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("request deadline expired while waiting");
-    }
-  }
-  return future.get();
+  return AwaitResponse(Submit(indices, values, deadline), deadline);
 }
 
 void InferenceServer::Pause() { queue_.Pause(); }
@@ -173,9 +162,10 @@ void InferenceServer::WorkerLoop(int worker_index) {
   obs::TraceRecorder* trace = options_.trace;
   const int host_lane = options_.lane_base + worker_index;
   if (trace != nullptr) {
+    // Worker w's device streams get their own band of lanes.
     executor.SetSpanRecorder(
-        trace, options_.lane_base + worker_index * kWorkerLaneStride,
-        kWorkerLaneStride);
+        trace, options_.lane_base + worker_index * SimExecutor::kLaneBand,
+        SimExecutor::kLaneBand);
   }
   std::vector<SparseRowView> rows;
 

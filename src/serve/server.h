@@ -95,14 +95,14 @@ struct ServeOptions {
   // Optional span sink: workers record per-batch queue_wait/predict/respond
   // host spans on a per-worker lane, and each worker's simulated device
   // feeds its stream spans into the same recorder (lane base
-  // lane_base + 16 * worker), yielding one merged Chrome trace. Must outlive
-  // the server.
+  // lane_base + SimExecutor::kLaneBand * worker), yielding one merged Chrome
+  // trace. Must outlive the server.
   obs::TraceRecorder* trace = nullptr;
 
   // Offset added to every lane this server emits (host and device). Lets
   // several servers — e.g. a ReplicaRouter's per-device replicas — share one
   // recorder without their rows colliding; give each replica a band of
-  // 16 * num_workers lanes.
+  // SimExecutor::kLaneBand * num_workers lanes.
   int lane_base = 0;
 
   // --- Fault recovery -------------------------------------------------------

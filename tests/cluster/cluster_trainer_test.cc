@@ -209,8 +209,8 @@ TEST(SimClusterTest, HomogeneousDevicesShareSpeedAndBandLanes) {
   bool saw_banded_lane = false;
   for (const obs::SpanEvent& event : trace.events()) {
     EXPECT_GE(event.lane, 0);
-    EXPECT_LT(event.lane, 3 * kClusterLaneBand);
-    if (event.lane >= kClusterLaneBand) saw_banded_lane = true;
+    EXPECT_LT(event.lane, 3 * SimExecutor::kLaneBand);
+    if (event.lane >= SimExecutor::kLaneBand) saw_banded_lane = true;
   }
   EXPECT_TRUE(saw_banded_lane) << "no span landed on a non-primary device band";
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../test_util.h"
@@ -109,6 +112,96 @@ TEST(FleetServerTest, SubmitFailsWithoutReplicasOrTenant) {
   EXPECT_TRUE(
       fleet.Submit("ghost", indices, values).status().IsFailedPrecondition());
   EXPECT_TRUE(fleet.Shutdown().ok());
+}
+
+TEST(FleetServerTest, NonFiniteRowIsRejectedAndCountedForTheTenant) {
+  FleetServer fleet(FleetOptions{});
+  ASSERT_TRUE(fleet.Start().ok());
+  ValueOrDie(fleet.AddTenant(Spec("acme"), MpSvmModel(SharedModel())));
+
+  const std::vector<int32_t> indices = {0, 2};
+  const std::vector<double> values = {1.0,
+                                      std::numeric_limits<double>::quiet_NaN()};
+  auto submitted = fleet.Submit("acme", indices, values);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_TRUE(submitted.status().IsInvalidArgument())
+      << submitted.status().ToString();
+  EXPECT_NE(submitted.status().message().find("position 1"), std::string::npos)
+      << submitted.status().message();
+
+  EXPECT_TRUE(fleet.Shutdown().ok());
+  const FleetStatsSnapshot snap = fleet.Snapshot();
+  EXPECT_EQ(TenantSnap(snap, "acme").rejected, 1u);
+  EXPECT_EQ(TenantSnap(snap, "acme").admitted, 0u);
+}
+
+TEST(FleetServerTest, SubmitsRacingScaleTicksAllResolve) {
+  // Four clients submit while a fifth thread alternates scale-up and
+  // scale-down ticks, so replicas join and retire under live admission.
+  // Every admitted request must still be answered, whichever replica it
+  // landed on and whether that replica retired under it.
+  FleetOptions options;
+  options.serve.num_workers = 1;
+  options.initial_replicas = 1;
+  options.autoscale.min_replicas = 1;
+  options.autoscale.max_replicas = 2;
+  options.autoscale.scale_up_depth = 8.0;
+  options.autoscale.scale_up_ticks = 1;
+  options.autoscale.scale_down_depth = 8.0;
+  options.autoscale.scale_down_ticks = 1;
+  FleetServer fleet(options);
+  ASSERT_TRUE(fleet.Start().ok());
+  ValueOrDie(fleet.AddTenant(Spec("acme"), MpSvmModel(SharedModel())));
+
+  auto queries = ValueOrDie(MakeMulticlassBlobs(3, 4, 5, 2.5, 42));
+  const CsrMatrix& rows = queries.features();
+  auto submit = [&](int64_t i) {
+    const int64_t row = i % queries.size();
+    return fleet.Submit("acme", rows.RowIndices(row), rows.RowValues(row));
+  };
+
+  // Each client keeps one request in flight, so clients alone never hold
+  // more than 4 queued requests: below the scale-up depth of 8.
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 25;
+  std::atomic<int> client_failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        auto admitted = submit(c + i);
+        if (!admitted.ok() || !admitted->get().ok()) ++client_failures;
+      }
+    });
+  }
+
+  // A paused 16-request backlog makes the next tick hot (scale-up); once it
+  // drains, the next tick is idle (drain-and-retire).
+  constexpr int kRounds = 6;
+  constexpr int kBacklog = 16;
+  std::thread scaler([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      fleet.PauseAll();
+      std::vector<std::future<Result<PredictResponse>>> backlog;
+      for (int i = 0; i < kBacklog; ++i) backlog.push_back(ValueOrDie(submit(i)));
+      EXPECT_EQ(fleet.ScaleTick(), ScaleDecision::kScaleUp);
+      fleet.ResumeAll();
+      for (auto& future : backlog) EXPECT_TRUE(future.get().ok());
+      EXPECT_EQ(fleet.ScaleTick(), ScaleDecision::kScaleDown);
+    }
+  });
+  for (std::thread& client : clients) client.join();
+  scaler.join();
+  EXPECT_EQ(client_failures.load(), 0);
+
+  EXPECT_TRUE(fleet.Shutdown().ok());
+  const FleetStatsSnapshot snap = fleet.Snapshot();
+  const TenantStatsSnapshot& acme = TenantSnap(snap, "acme");
+  EXPECT_EQ(acme.admitted,
+            static_cast<uint64_t>(kClients * kPerClient + kRounds * kBacklog));
+  EXPECT_EQ(acme.completed, acme.admitted);
+  EXPECT_EQ(snap.scale_ups, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(snap.scale_downs, static_cast<uint64_t>(kRounds));
 }
 
 TEST(FleetServerTest, QuotaShedsWithRetryAfterHint) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -205,6 +207,30 @@ TEST(InferenceServerTest, MalformedRowRejectedAtAdmission) {
   auto r2 = fx.server->Submit(one, vals);  // size mismatch
   EXPECT_FALSE(r2.ok());
   EXPECT_TRUE(r2.status().IsInvalidArgument());
+}
+
+TEST(InferenceServerTest, NonFiniteValueRejectedAtAdmission) {
+  ServeOptions options;
+  ServerFixture fx(options);
+  const std::vector<int32_t> indices{0, 2, 4};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  int expected_rejected = 0;
+  for (const double bad : {nan, inf, -inf}) {
+    const std::vector<double> vals{0.5, bad, 1.0};
+    auto submitted = fx.server->Submit(indices, vals);
+    ASSERT_FALSE(submitted.ok()) << bad;
+    EXPECT_TRUE(submitted.status().IsInvalidArgument()) << bad;
+    // The error names the offending value's position in the row.
+    EXPECT_NE(submitted.status().message().find("position 1"),
+              std::string::npos)
+        << submitted.status().message();
+    EXPECT_EQ(fx.server->stats().Snapshot().rejected,
+              static_cast<uint64_t>(++expected_rejected));
+  }
+  // No future was created for the rejected rows: nothing was queued.
+  EXPECT_EQ(fx.server->stats().Snapshot().admitted, 0u);
+  EXPECT_EQ(fx.server->queue_depth(), 0u);
 }
 
 TEST(InferenceServerTest, OutOfRangeFeatureFailsOnlyThatRequest) {
